@@ -60,10 +60,11 @@ step cargo run -q --release -p lobster --bin lobster -- \
 # the committed baseline's events/sec.
 step cargo run -q --release -p lobster-bench --bin bench_scale
 
-# Recovery bench: WAL v3 snapshot+tail vs full replay, journal bytes vs
-# the v2 JSON equivalent. Rewrites BENCH_recovery.json and fails on a
-# sub-10x journal shrink, a resume over 100 ms, a >20% resume-latency
-# regression vs the committed baseline, or any journal-size growth.
+# Recovery bench: WAL v3 snapshot+tail vs full replay, and operating
+# journal bytes per record. Rewrites BENCH_recovery.json and fails on
+# more than 7.8 journal bytes per record, a resume over 100 ms, a >20%
+# resume-latency regression vs the committed baseline, or any
+# journal-size growth.
 step cargo run -q --release -p lobster-bench --bin bench_recovery
 
 # Multi-tenant sweep (1 -> 100 masters over one shared pool). Rewrites

@@ -125,7 +125,7 @@ fn bench_cluster_sim(c: &mut Criterion) {
     use batchsim::pool::PoolConfig;
     use gridstore::dbs::{DatasetSpec, Dbs};
     use lobster::config::LobsterConfig;
-    use lobster::driver::{ClusterSim, SimParams};
+    use lobster::driver::{ClusterSim, Session, SimParams};
     use lobster::workflow::Workflow;
     c.bench_function("cluster_sim/64_cores_1000_lumi_files", |b| {
         b.iter(|| {
@@ -160,7 +160,7 @@ fn bench_cluster_sim(c: &mut Criterion) {
                 horizon: SimDuration::from_hours(72),
                 ..SimParams::default()
             };
-            black_box(ClusterSim::run(cfg, params, vec![wf]))
+            black_box(Session::new(ClusterSim::new(cfg, params, vec![wf])).finish())
         })
     });
 }

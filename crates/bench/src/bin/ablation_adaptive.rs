@@ -12,7 +12,7 @@ use batchsim::pool::PoolConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::adaptive::AdaptiveConfig;
 use lobster::config::LobsterConfig;
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::workflow::Workflow;
 use simkit::time::SimDuration;
 use simnet::outage::OutageSchedule;
@@ -61,7 +61,7 @@ fn run(adaptive: bool, mean_lifetime_h: u64) -> (f64, u64, f64, u32) {
         },
         ..SimParams::default()
     };
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     let makespan = report
         .finished_at
         .map(|t| t.as_hours_f64())

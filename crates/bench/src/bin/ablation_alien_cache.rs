@@ -10,7 +10,7 @@ use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::config::LobsterConfig;
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::workflow::Workflow;
 use simkit::time::SimDuration;
 use simnet::outage::OutageSchedule;
@@ -51,7 +51,7 @@ fn run_alien(alien: bool) -> (f64, f64, u64) {
         horizon: SimDuration::from_hours(300),
         ..SimParams::default()
     };
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     let setup_h = report.accounting.io; // includes env setup
     let makespan = report
         .finished_at

@@ -8,7 +8,7 @@
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use lobster::config::{LobsterConfig, WorkflowConfig};
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::workflow::Workflow;
 use simkit::time::SimDuration;
 use simnet::outage::OutageSchedule;
@@ -34,7 +34,7 @@ fn run_with_connections(conns: u32) -> (f64, f64) {
         horizon: SimDuration::from_hours(400),
         ..SimParams::default()
     };
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     let n = report.tasks_completed.max(1) as f64;
     let stage_mins = (report.accounting.io * 60.0) / n;
     let makespan = report

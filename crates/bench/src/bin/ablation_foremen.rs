@@ -9,7 +9,7 @@ use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::config::LobsterConfig;
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::workflow::Workflow;
 use simkit::time::SimDuration;
 use simnet::outage::OutageSchedule;
@@ -51,7 +51,7 @@ fn run_with_foremen(n_foremen: u32) -> (f64, f64) {
         foreman_capacity: 60,
         ..SimParams::default()
     };
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     let wq_in_mins = report.accounting.wq_stage_in * 60.0 / report.tasks_completed.max(1) as f64;
     let makespan = report
         .finished_at

@@ -15,7 +15,7 @@ use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::config::{Backoff, LobsterConfig, WorkflowConfig};
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
@@ -139,7 +139,7 @@ fn gate_metrics_baseline(path: &str, snap: &opsplane::MetricsSnapshot) -> bool {
 fn main() {
     let (cfg, params, wfs) = setup();
     let started = std::time::Instant::now();
-    let report = ClusterSim::run(cfg.clone(), params.clone(), wfs);
+    let report = Session::new(ClusterSim::new(cfg.clone(), params.clone(), wfs)).finish();
     let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
 
     if report.finished_at.is_none() {

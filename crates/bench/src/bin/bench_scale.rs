@@ -20,7 +20,7 @@
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use lobster::config::{Backoff, LobsterConfig, WorkflowConfig};
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
@@ -209,7 +209,7 @@ fn main() {
         let tasklets: u64 = wfs.iter().map(|w| w.n_tasklets()).sum();
         reset_peak();
         let started = std::time::Instant::now();
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
         let peak_alloc_bytes = PEAK.load(Ordering::Relaxed);
 

@@ -15,7 +15,7 @@ use batchsim::pool::PoolConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::access::DataAccessMode;
 use lobster::config::LobsterConfig;
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::workflow::Workflow;
 use simkit::time::SimDuration;
 use simnet::outage::OutageSchedule;
@@ -57,7 +57,7 @@ fn run_mode(access: DataAccessMode) -> (f64, f64, f64, f64) {
     };
     // Scale the WAN with the small fleet, as in the Figure 10 scenario.
     cfg.infra.wan_gbits = 0.256;
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     let acc = &report.accounting;
     let n = report.tasks_completed as f64;
     let processing_h = acc.cpu / n;

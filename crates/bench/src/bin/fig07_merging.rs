@@ -12,7 +12,7 @@ use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::config::LobsterConfig;
-use lobster::driver::{ClusterSim, RunReport, SimParams};
+use lobster::driver::{ClusterSim, RunReport, Session, SimParams};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
 use lobster_bench::panel;
@@ -62,7 +62,7 @@ fn run_mode(mode: MergeMode) -> RunReport {
         hadoop_rate: 30e6,
         ..SimParams::default()
     };
-    ClusterSim::run(cfg, params, vec![wf])
+    Session::new(ClusterSim::new(cfg, params, vec![wf])).finish()
 }
 
 fn main() {

@@ -11,7 +11,7 @@ use batchsim::pool::PoolConfig;
 use cvmfssim::squid::SquidConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::config::{LobsterConfig, WorkflowConfig};
-use lobster::driver::{ClusterSim, RunReport, SimParams};
+use lobster::driver::{ClusterSim, RunReport, Session, SimParams};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
 use simkit::time::{SimDuration, SimTime};
@@ -150,7 +150,7 @@ pub fn simulation_setup(seed: u64) -> (LobsterConfig, SimParams, Vec<Workflow>) 
 /// Run a scenario and return the report.
 pub fn run(setup: (LobsterConfig, SimParams, Vec<Workflow>)) -> RunReport {
     let (cfg, params, wfs) = setup;
-    ClusterSim::run(cfg, params, wfs)
+    Session::new(ClusterSim::new(cfg, params, wfs)).finish()
 }
 
 /// Render a series of panel rows as `label: sparkline (max=…)`.

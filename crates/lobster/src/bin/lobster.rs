@@ -19,7 +19,7 @@
 use batchsim::availability::{AvailabilityModel, EvictionScenario};
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::config::{LobsterConfig, WorkloadKind};
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::tasksize::{sweep, TaskSizeConfig};
 use lobster::workflow::Workflow;
 use simkit::plot::sparkline;
@@ -238,7 +238,7 @@ fn run_simulation(
         .first()
         .map(|w| w.name.clone())
         .unwrap_or_else(|| "simulate".to_string());
-    let report = ClusterSim::run(cfg.clone(), params.clone(), workflows);
+    let report = Session::new(ClusterSim::new(cfg.clone(), params.clone(), workflows)).finish();
 
     if metrics_out.is_some() || dashboard_out.is_some() {
         let snap = lobster::ops::snapshot_from_run(&run_name, &cfg, &params, &report);

@@ -2,12 +2,12 @@
 //!
 //! A v3 journal is a *directory*: one `shard-NNNN.wal` per registered
 //! workflow plus `master.wal` for cross-workflow state (merges, attempt
-//! accounting, backoffs). Each file keeps the v2 physical discipline —
-//! 16-byte `LBSTRWAL` header, `len + CRC-32` frames, torn-tail drop on
-//! the final frame, hard `InvalidData` anywhere earlier — but the header
-//! version is 3, the flags word names the shard, and a frame payload is
-//! a *batch*: a record-count varint followed by that many binary-coded
-//! records ([`super::codec`]).
+//! accounting, backoffs). Each file is a 16-byte `LBSTRWAL` header
+//! (version 3, then a word naming the shard) followed by `len + CRC-32`
+//! frames, with a torn-tail drop on the final frame and a hard
+//! `InvalidData` anywhere earlier. A frame payload is a *batch*: a
+//! record-count varint followed by that many binary-coded records
+//! ([`super::codec`]).
 //!
 //! # Group commit
 //!
@@ -15,9 +15,9 @@
 //! *commit boundary*: when buffered records/bytes cross the
 //! `JournalPolicy` thresholds, on snapshot compaction, at a simulated
 //! crash point, and on drop. One batch is one frame, so the torn-tail
-//! rule classifies a mid-commit crash exactly as v2 classified a
-//! mid-append crash: the final (partial) frame — the whole commit group
-//! on that file — is dropped.
+//! rule classifies a mid-commit crash as an interrupted append: the
+//! final (partial) frame — the whole commit group on that file — is
+//! dropped.
 //!
 //! # Causal flush order
 //!
@@ -118,7 +118,7 @@ pub(crate) fn scan_dir(dir: &Path) -> io::Result<Vec<ScannedFile>> {
     Ok(out)
 }
 
-/// Torn-tail frame walk of one shard file (v2 semantics at v3 framing).
+/// Torn-tail frame walk of one shard file.
 fn scan_file(path: &Path, tag: u32) -> io::Result<ScannedFile> {
     let buf = fs::read(path)?;
     let canonical = header_bytes(tag);
@@ -418,15 +418,6 @@ impl Journal {
         Ok(())
     }
 
-    /// Re-point the journal at `dir` after the directory itself was
-    /// renamed (the v2→v3 migration builds the shard directory under a
-    /// tmp name and renames it into place; the open file handles stay
-    /// valid across the rename, only the path for future shard/compact
-    /// files moves).
-    pub fn rehome(&mut self, dir: PathBuf) {
-        self.dir = dir;
-    }
-
     /// Records appended to `tag` since its last snapshot frame
     /// (including any still buffered).
     pub fn tail_records(&self, tag: u32) -> u64 {
@@ -445,13 +436,8 @@ impl Journal {
     }
 }
 
-/// Total on-disk size of a journal: the file itself (v2), or the sum of
-/// shard files (v3 directory).
+/// Total on-disk size of a journal: the sum of its shard files.
 pub fn journal_bytes(path: &Path) -> io::Result<u64> {
-    let meta = fs::metadata(path)?;
-    if meta.is_file() {
-        return Ok(meta.len());
-    }
     let mut total = 0;
     for entry in fs::read_dir(path)? {
         let entry = entry?;

@@ -8,10 +8,10 @@
 //! stage-in/streaming, execution, Chirp stage-out, result collection);
 //! and the monitor ingests every attempt.
 //!
-//! One [`ClusterSim`] run produces a [`RunReport`] holding the Figure 8
-//! accounting, the Figure 10/11 time lines, the Figure 9 dashboard and
-//! the Figure 2 eviction log — the benchmark binaries are thin wrappers
-//! around this type.
+//! A [`Session`] drives one [`ClusterSim`] and yields a [`RunReport`]
+//! holding the Figure 8 accounting, the Figure 10/11 time lines, the
+//! Figure 9 dashboard and the Figure 2 eviction log — the benchmark
+//! binaries are thin wrappers around these types.
 
 use crate::access::{AccessTiming, DataAccessMode};
 use crate::adaptive::{AdaptiveConfig, AdaptiveSizer};
@@ -30,7 +30,7 @@ use cvmfssim::catalog::ReleaseCatalog;
 use cvmfssim::squid::{Squid, SquidConfig, TimedOut};
 use gridstore::chirp::{ChirpConfig, ChirpDown, ChirpServer};
 use gridstore::xrootd::{Federation, FederationConfig};
-use simkit::fault::{CrashPoint, CrashSite};
+use simkit::fault::CrashSite;
 use simkit::prelude::*;
 use simkit::queue::Grant;
 use simkit::stats::TimeSeries;
@@ -334,28 +334,6 @@ pub struct OpsStatus {
     pub advice: Vec<crate::monitor::Advice>,
     /// Dead-lettered tasks so far.
     pub dead_letters: u64,
-}
-
-/// What the controller wants after seeing an [`OpsStatus`] sample.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpsRequest {
-    /// Keep running.
-    Continue,
-    /// Stop here: drain the commit window, take a durable checkpoint
-    /// (WAL v3 snapshot + compaction), and return.
-    Pause,
-}
-
-/// Outcome of a run driven through the ops plane.
-#[derive(Debug)]
-pub enum OpsOutcome {
-    /// The run drained (or hit the horizon); the full report.
-    Completed(Box<RunReport>),
-    /// The controller paused the run after a durable checkpoint. The
-    /// journal at the run's path holds everything needed for
-    /// [`ClusterSim::resume_run`] (or another ops-plane resume) to
-    /// continue; the status is the last sample before the pause.
-    Paused(OpsStatus),
 }
 
 /// The cluster simulation model.
@@ -746,192 +724,9 @@ impl ClusterSim {
         self.buffer.push(id);
     }
 
-    /// Run to the horizon and harvest the report.
-    pub fn run(cfg: LobsterConfig, params: SimParams, workflows: Vec<Workflow>) -> RunReport {
-        Self::drive(Self::new(cfg, params, workflows))
-    }
-
-    /// Run a fresh durable (journaled) simulation to the horizon.
-    pub fn run_durable(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-    ) -> io::Result<RunReport> {
-        Ok(Self::drive(Self::durable(cfg, params, workflows, path)?))
-    }
-
-    /// Resume a crashed durable run from its journal and run it to the
-    /// horizon.
-    pub fn resume_run(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-    ) -> io::Result<RunReport> {
-        Ok(Self::drive(Self::resume(cfg, params, workflows, path)?))
-    }
-
-    /// Run a fresh durable simulation but kill the master at `crash`:
-    /// after that many delivered events, all in-memory state is dropped
-    /// on the floor and `Ok(None)` returned — only the journal survives,
-    /// for [`ClusterSim::resume_run`] to pick up. When the run drains (or
-    /// hits the horizon) before the crash point, the completed report is
-    /// returned instead.
-    pub fn run_durable_until_crash(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-        crash: CrashPoint,
-    ) -> io::Result<Option<RunReport>> {
-        Ok(Self::drive_until_crash(
-            Self::durable(cfg, params, workflows, path)?,
-            crash,
-        ))
-    }
-
-    /// Resume a crashed durable run from its journal, but kill the master
-    /// *again* at `crash` — the double-crash scenario: only the journal
-    /// survives for yet another [`ClusterSim::resume_run`]. Returns
-    /// `Ok(None)` when the crash landed mid-flight, or the completed
-    /// report when the run drained first.
-    pub fn resume_run_until_crash(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-        crash: CrashPoint,
-    ) -> io::Result<Option<RunReport>> {
-        Ok(Self::drive_until_crash(
-            Self::resume(cfg, params, workflows, path)?,
-            crash,
-        ))
-    }
-
-    /// Run a fresh durable simulation under ops-plane control: every
-    /// `poll_every_events` delivered events the controller sees an
-    /// [`OpsStatus`] sample (accounting, counters, live advice) and
-    /// decides to continue or pause. A pause drains the group-commit
-    /// window and takes a durable checkpoint through the WAL v3
-    /// snapshot+compaction path, so the journal alone can resume the
-    /// run later.
-    pub fn run_durable_with_ops(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-        poll_every_events: u64,
-        control: impl FnMut(&OpsStatus) -> OpsRequest,
-    ) -> io::Result<OpsOutcome> {
-        Self::drive_with_ops(
-            Self::durable(cfg, params, workflows, path)?,
-            poll_every_events,
-            control,
-        )
-    }
-
-    /// Resume a paused (or crashed) durable run under ops-plane control;
-    /// same polling contract as [`ClusterSim::run_durable_with_ops`].
-    pub fn resume_run_with_ops(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-        poll_every_events: u64,
-        control: impl FnMut(&OpsStatus) -> OpsRequest,
-    ) -> io::Result<OpsOutcome> {
-        Self::drive_with_ops(
-            Self::resume(cfg, params, workflows, path)?,
-            poll_every_events,
-            control,
-        )
-    }
-
-    /// Status sample for the ops plane.
-    fn ops_status(&self, now: SimTime, events_delivered: u64) -> OpsStatus {
-        OpsStatus {
-            now,
-            events_delivered,
-            live_tasks: self.tasks.live as u64,
-            counters: self.db.counters(),
-            accounting: self.db.accounting().clone(),
-            advisor_signals: self.advisor.signal_means(),
-            advice: self.advisor.diagnose(&AdvisorConfig::default()),
-            dead_letters: self.db.dead_letters().len() as u64,
-        }
-    }
-
-    fn drive_with_ops(
-        sim: ClusterSim,
-        poll_every_events: u64,
-        mut control: impl FnMut(&OpsStatus) -> OpsRequest,
-    ) -> io::Result<OpsOutcome> {
-        let poll = poll_every_events.max(1);
-        let horizon = sim.params.horizon;
-        let deadline = SimTime::ZERO + horizon;
-        let kind = sim.params.engine;
-        let mut engine = Engine::with_kind(sim, kind);
-        engine.prime(SimDuration::ZERO, Ev::Start);
-        loop {
-            let now = engine.run_until_events(deadline, poll);
-            if engine.ctx().peek_time().is_none_or(|t| t > deadline) {
-                // Quiescent (or past the horizon): the run is over.
-                let events_delivered = engine.ctx().delivered();
-                let report = engine.into_model().into_report(now, events_delivered);
-                return Ok(OpsOutcome::Completed(Box::new(report)));
-            }
-            let events_delivered = engine.ctx().delivered();
-            let status = engine.model().ops_status(now, events_delivered);
-            if control(&status) == OpsRequest::Pause {
-                let mut model = engine.into_model();
-                // Durable checkpoint: everything journaled so far becomes
-                // a snapshot + empty tail, exactly the WAL v3 recovery
-                // fast path.
-                model.db.flush();
-                model.db.compact()?;
-                return Ok(OpsOutcome::Paused(status));
-            }
-        }
-    }
-
-    fn drive_until_crash(sim: ClusterSim, crash: CrashPoint) -> Option<RunReport> {
-        let horizon = sim.params.horizon;
-        let deadline = SimTime::ZERO + horizon;
-        let kind = sim.params.engine;
-        let mut engine = Engine::with_kind(sim, kind);
-        engine.prime(SimDuration::ZERO, Ev::Start);
-        let ended_at = engine.run_until_events(deadline, crash.after_events);
-        // Events still pending inside the deadline mean the budget — not
-        // quiescence — stopped the run: the crash landed mid-flight. How
-        // much of the open group-commit window survives is the crash
-        // site's call: a boundary crash flushes it, an in-window crash
-        // drops it with the process.
-        if engine.ctx().peek_time().is_some_and(|t| t <= deadline) {
-            let mut model = engine.into_model();
-            match crash.site {
-                CrashSite::CommitBoundary => model.db.flush(),
-                CrashSite::InsideCommitWindow => model.db.crash(),
-            }
-            return None;
-        }
-        let events_delivered = engine.ctx().delivered();
-        Some(engine.into_model().into_report(ended_at, events_delivered))
-    }
-
-    fn drive(sim: ClusterSim) -> RunReport {
-        let horizon = sim.params.horizon;
-        let kind = sim.params.engine;
-        let mut engine = Engine::with_kind(sim, kind);
-        engine.prime(SimDuration::ZERO, Ev::Start);
-        let ended_at = engine.run_until(SimTime::ZERO + horizon);
-        let events_delivered = engine.ctx().delivered();
-        engine.into_model().into_report(ended_at, events_delivered)
-    }
-
     /// Fold the final model state into a [`RunReport`]. Public so external
-    /// harnesses that drive the [`Engine`] themselves (the multi-tenant
-    /// coordinator steps several engines in lockstep) can harvest reports.
+    /// harnesses that drive the [`Engine`] themselves can harvest reports;
+    /// [`Session::finish`] is the usual way in.
     pub fn into_report(mut self, ended_at: SimTime, events_delivered: u64) -> RunReport {
         // A completed run is a durability boundary: drain any open
         // group-commit window before reporting.
@@ -969,7 +764,7 @@ impl ClusterSim {
 
     // ----- multi-tenant coordination surface --------------------------------
     //
-    // A multi-tenant coordinator steps several `ClusterSim` engines over one
+    // A multi-tenant coordinator steps several `ClusterSim` sessions over one
     // shared pool. Between rounds it reads demand and WAN accounting here,
     // and writes back the arbiter's core cap and the shared-cache warmth.
 
@@ -1026,8 +821,8 @@ impl ClusterSim {
 
     /// Simulate a process crash for an externally-driven engine: drop the
     /// open group-commit window without flushing, abandoning the model —
-    /// the in-window crash site of [`ClusterSim::run_durable_until_crash`],
-    /// exposed so a multi-tenant coordinator can kill one master mid-round.
+    /// the in-window crash site of [`Session::crash`], exposed for
+    /// harnesses that drive the [`Engine`] themselves.
     pub fn crash_now(mut self) {
         self.db.crash();
     }
@@ -2274,6 +2069,125 @@ impl Model for ClusterSim {
     }
 }
 
+/// Why [`Session::step`] returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// The event budget ran out with events still due at or before the
+    /// deadline: the run stopped mid-flight.
+    Budget,
+    /// Nothing is left to deliver at or before the deadline.
+    Quiescent,
+}
+
+/// One running master: the engine around a [`ClusterSim`], driven by a
+/// single loop. Open the state with [`ClusterSim::new`],
+/// [`ClusterSim::durable`] or [`ClusterSim::resume`]; then [`step`] in
+/// chunks (polling [`status`] between them) or [`finish`] in one go, and
+/// end the session with [`finish`], [`into_report`], [`checkpoint`] or
+/// [`crash`].
+///
+/// [`step`]: Session::step
+/// [`status`]: Session::status
+/// [`finish`]: Session::finish
+/// [`into_report`]: Session::into_report
+/// [`checkpoint`]: Session::checkpoint
+/// [`crash`]: Session::crash
+pub struct Session {
+    engine: Engine<ClusterSim>,
+}
+
+impl Session {
+    /// Prime `sim` with [`Ev::Start`] on its configured queue backend.
+    pub fn new(sim: ClusterSim) -> Self {
+        let kind = sim.params.engine;
+        let mut engine = Engine::with_kind(sim, kind);
+        engine.prime(SimDuration::ZERO, Ev::Start);
+        Session { engine }
+    }
+
+    /// Deliver events up to `deadline`, at most `max_events` of them.
+    /// Stepping in chunks delivers exactly the events one unbounded step
+    /// would.
+    pub fn step(&mut self, deadline: SimTime, max_events: u64) -> Step {
+        let before = self.engine.ctx().delivered();
+        self.engine.run_until_events(deadline, max_events);
+        // Only a spent budget can leave events due by the deadline.
+        let ctx = self.engine.ctx();
+        if ctx.delivered() - before >= max_events && ctx.peek_time().is_some_and(|t| t <= deadline)
+        {
+            Step::Budget
+        } else {
+            Step::Quiescent
+        }
+    }
+
+    /// A live status sample for the ops plane.
+    pub fn status(&mut self) -> OpsStatus {
+        let events_delivered = self.engine.ctx().delivered();
+        let now = self.engine.now();
+        let sim = self.engine.model();
+        OpsStatus {
+            now,
+            events_delivered,
+            live_tasks: sim.tasks.live as u64,
+            counters: sim.db.counters(),
+            accounting: sim.db.accounting().clone(),
+            advisor_signals: sim.advisor.signal_means(),
+            advice: sim.advisor.diagnose(&AdvisorConfig::default()),
+            dead_letters: sim.db.dead_letters().len() as u64,
+        }
+    }
+
+    /// The master between steps.
+    pub fn sim(&self) -> &ClusterSim {
+        self.engine.model()
+    }
+
+    /// The master between steps, for a coordinator's core-cap and
+    /// cache-warmth writes.
+    pub fn sim_mut(&mut self) -> &mut ClusterSim {
+        self.engine.model_mut()
+    }
+
+    /// Pause durably: drain the group-commit window, then compact the
+    /// journal to snapshot frames with empty tails, so
+    /// [`ClusterSim::resume`] picks the run up on the WAL v3 fast path.
+    pub fn checkpoint(self) -> io::Result<()> {
+        let mut sim = self.engine.into_model();
+        sim.db.flush();
+        sim.db.compact()
+    }
+
+    /// Kill the master here: only the journal survives. A
+    /// [`CrashSite::CommitBoundary`] crash flushes the open group-commit
+    /// window first; a [`CrashSite::InsideCommitWindow`] crash loses it.
+    pub fn crash(self, site: CrashSite) {
+        let mut sim = self.engine.into_model();
+        match site {
+            CrashSite::CommitBoundary => sim.db.flush(),
+            CrashSite::InsideCommitWindow => sim.crash_now(),
+        }
+    }
+
+    /// Run out to the horizon and harvest the report.
+    pub fn finish(mut self) -> RunReport {
+        let horizon = SimTime::ZERO + self.sim().params.horizon;
+        self.step(horizon, u64::MAX);
+        self.into_report()
+    }
+
+    /// Harvest the report where the run stands, delivering nothing more —
+    /// for a coordinator that keeps its own clock and ends a master short
+    /// of its horizon.
+    pub fn into_report(mut self) -> RunReport {
+        let events_delivered = self.engine.ctx().delivered();
+        let ended_at = self.engine.now();
+        self.engine
+            .into_model()
+            .into_report(ended_at, events_delivered)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2347,7 +2261,7 @@ mod tests {
             20,
         );
         let total_tasklets = wfs[0].n_tasklets();
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(
             report.finished_at.is_some(),
             "run should finish: {report:?}"
@@ -2372,7 +2286,7 @@ mod tests {
             OutageSchedule::none(),
             20,
         );
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report.finished_at.is_some());
         assert!(report.merges_completed > 0);
         // Sequential: no merge completes before the last analysis task.
@@ -2394,7 +2308,7 @@ mod tests {
             OutageSchedule::none(),
             20,
         );
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report.finished_at.is_some());
         assert!(report.merges_completed > 0);
         assert!(report
@@ -2412,7 +2326,10 @@ mod tests {
                 OutageSchedule::none(),
                 40,
             );
-            ClusterSim::run(cfg, params, wfs).finished_at.unwrap()
+            Session::new(ClusterSim::new(cfg, params, wfs))
+                .finish()
+                .finished_at
+                .unwrap()
         };
         let ts = run(MergeMode::Sequential);
         let ti = run(MergeMode::Interleaved);
@@ -2432,7 +2349,7 @@ mod tests {
             OutageSchedule::none(),
             20,
         );
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report.evictions > 0, "3h mean lifetime must evict someone");
         assert!(report.finished_at.is_some(), "work still completes");
         assert!(report
@@ -2469,9 +2386,7 @@ mod tests {
             horizon: SimDuration::from_hours(48),
             ..SimParams::default()
         };
-        let sim = ClusterSim::new(cfg, params, vec![wf]);
-        let mut eng = Engine::new(sim);
-        eng.prime(SimDuration::ZERO, Ev::Start);
+        let mut session = Session::new(ClusterSim::new(cfg, params, vec![wf]));
         let round = SimDuration::from_mins(5);
         let mut deadline = SimTime::ZERO;
         for i in 0..(48 * 12) {
@@ -2483,17 +2398,48 @@ mod tests {
             // believes it is full while zero workers remain, no claim
             // ever succeeds again, and the workload starves.
             let cap = 48u32.saturating_sub(2 * i as u32).max(12);
-            eng.model_mut().set_core_cap(cap);
+            session.sim_mut().set_core_cap(cap);
             deadline += round;
-            eng.run_until(deadline);
-            if eng.model().done() {
+            session.step(deadline, u64::MAX);
+            if session.sim().is_finished() {
                 break;
             }
         }
         assert!(
-            eng.model().is_finished(),
+            session.sim().is_finished(),
             "workload starved under an oscillating share cap"
         );
+    }
+
+    /// Stepping in chunks delivers exactly what one unbounded run does:
+    /// the tenancy lockstep and ops polling both rely on it.
+    #[test]
+    fn stepping_in_chunks_changes_nothing() {
+        let merged = |r: &RunReport| -> u64 { r.merged_files.iter().map(|m| m.1).sum() };
+        for kind in [EngineKind::Calendar, EngineKind::ReferenceHeap] {
+            let sim = || {
+                let (cfg, mut params, wfs) = small_setup(
+                    MergeMode::Interleaved,
+                    AvailabilityModel::Dedicated,
+                    OutageSchedule::none(),
+                    20,
+                );
+                params.engine = kind;
+                ClusterSim::new(cfg, params, wfs)
+            };
+            let whole = Session::new(sim()).finish();
+            for budget in [1, 7, 4096, u64::MAX] {
+                let mut session = Session::new(sim());
+                let horizon = SimTime::ZERO + SimDuration::from_hours(96);
+                while session.step(horizon, budget) == Step::Budget {}
+                let chunked = session.finish();
+                let label = format!("{kind:?}, budget {budget}");
+                assert_eq!(chunked.events_delivered, whole.events_delivered, "{label}");
+                assert_eq!(chunked.ended_at, whole.ended_at, "{label}");
+                assert_eq!(merged(&chunked), merged(&whole), "{label}");
+                assert_eq!(chunked.dead_letters, whole.dead_letters, "{label}");
+            }
+        }
     }
 
     #[test]
@@ -2512,7 +2458,7 @@ mod tests {
             outage,
             360,
         );
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(
             report.tasks_failed > 0,
             "blackout must fail stage-ins: {report:?}"
@@ -2540,8 +2486,8 @@ mod tests {
         };
         let (c1, p1, w1) = mk();
         let (c2, p2, w2) = mk();
-        let a = ClusterSim::run(c1, p1, w1);
-        let b = ClusterSim::run(c2, p2, w2);
+        let a = Session::new(ClusterSim::new(c1, p1, w1)).finish();
+        let b = Session::new(ClusterSim::new(c2, p2, w2)).finish();
         assert_eq!(a.tasks_completed, b.tasks_completed);
         assert_eq!(a.tasks_failed, b.tasks_failed);
         assert_eq!(a.evictions, b.evictions);
@@ -2556,7 +2502,7 @@ mod tests {
             OutageSchedule::none(),
             20,
         );
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         let table = report.accounting.table();
         let cpu_frac = table[0].2;
         assert!(cpu_frac > 0.4, "cpu fraction {cpu_frac}");
@@ -2572,7 +2518,7 @@ mod tests {
             OutageSchedule::none(),
             20,
         );
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report
             .dashboard
             .iter()
@@ -2600,7 +2546,7 @@ mod tests {
             },
             ..SimParams::default()
         };
-        let report = ClusterSim::run(cfg, params, vec![wf]);
+        let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
         assert!(report.finished_at.is_some(), "{report:?}");
         // No WAN consumption: everything moved through Chirp.
         assert_eq!(lobster_wan_bytes(&report), 0.0);
@@ -2617,7 +2563,7 @@ mod tests {
             20,
         );
         params.adaptive = true;
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report.finished_at.is_some());
         assert!((1..=60).contains(&report.final_task_size));
     }
@@ -2638,7 +2584,7 @@ mod tests {
             FaultTarget::Squid { index: deployed },
             OutageSchedule::new(vec![Outage::blackout(mins(10), mins(20))]),
         )]);
-        ClusterSim::run(cfg, params, wfs);
+        Session::new(ClusterSim::new(cfg, params, wfs)).finish();
     }
 
     /// A WAN blackout spanning the horizon pins every in-flight stream
@@ -2660,7 +2606,7 @@ mod tests {
             OutageSchedule::new(vec![Outage::blackout(mins(30), mins(20 * 60))]),
         )]);
         params.horizon = SimDuration::from_hours(6);
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report.finished_at.is_none(), "stuck streams pin the run");
         assert_eq!(report.accounting.watchdog_aborts, 0);
         assert_eq!(report.tasks_failed, 0, "nothing even reports a failure");
@@ -2690,7 +2636,7 @@ mod tests {
             max: SimDuration::from_mins(30),
             jitter: 0.0,
         };
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report.finished_at.is_some(), "{report:?}");
         assert!(report.accounting.watchdog_aborts > 0, "{report:?}");
         assert!(report
@@ -2721,7 +2667,7 @@ mod tests {
         )]);
         cfg.retry.max_attempts = Some(3);
         cfg.retry.requeue = Backoff::fixed(SimDuration::from_mins(10));
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report.finished_at.is_some(), "dead-lettering unblocks");
         assert!(!report.dead_letters.is_empty(), "{report:?}");
         for d in &report.dead_letters {
@@ -2768,7 +2714,7 @@ mod tests {
             max: SimDuration::from_mins(30),
             jitter: 0.0,
         };
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report.finished_at.is_some(), "{report:?}");
         assert!(report
             .timeline
@@ -2814,7 +2760,7 @@ mod tests {
             )]),
             ..SimParams::default()
         };
-        let report = ClusterSim::run(cfg, params, vec![wf]);
+        let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
         assert!(report.finished_at.is_some(), "{report:?}");
         let codes: BTreeSet<wqueue::task::FailureCode> = report
             .timeline
@@ -2846,7 +2792,7 @@ mod tests {
                 20,
             );
             cfg.merge_target_bytes = merge_target_bytes;
-            ClusterSim::run(cfg, params, wfs)
+            Session::new(ClusterSim::new(cfg, params, wfs)).finish()
         };
         let few_merges = run(400_000_000);
         let many_merges = run(100_000_000);
@@ -2901,7 +2847,7 @@ mod tests {
             horizon: SimDuration::from_hours(96),
             ..SimParams::default()
         };
-        let report = ClusterSim::run(cfg, params, wfs);
+        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
         assert!(report.finished_at.is_some(), "{report:?}");
         // ceil(20/4) + ceil(20/10): sizing each workflow by workflow 0's
         // knob would instead yield 5 + 5 = 10 tasks.

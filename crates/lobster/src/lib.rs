@@ -55,5 +55,5 @@ pub mod wrapper;
 
 pub use config::LobsterConfig;
 pub use db::LobsterDb;
-pub use driver::{ClusterSim, OpsOutcome, OpsRequest, OpsStatus, RunReport};
+pub use driver::{ClusterSim, OpsStatus, RunReport, Session, Step};
 pub use workflow::Workflow;

@@ -159,7 +159,7 @@ fn label_counts(map: BTreeMap<String, u64>) -> Vec<LabelCount> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::ClusterSim;
+    use crate::driver::{ClusterSim, Session};
     use crate::workflow::Workflow;
     use gridstore::dbs::{DatasetSpec, Dbs};
     use simkit::time::SimDuration;
@@ -186,7 +186,7 @@ mod tests {
             horizon: SimDuration::from_hours(60),
             ..SimParams::default()
         };
-        let report = ClusterSim::run(cfg.clone(), params.clone(), vec![wf]);
+        let report = Session::new(ClusterSim::new(cfg.clone(), params.clone(), vec![wf])).finish();
         (cfg, params, report)
     }
 

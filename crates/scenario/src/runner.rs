@@ -11,17 +11,16 @@
 //!    both same-seed determinism and journaling non-perturbation).
 //! 4. **Crash/resume convergence** — killing the master halfway through the
 //!    event stream and resuming from the journal converges to the
-//!    uninterrupted run's accounting, via the existing `CrashPoint`
-//!    machinery.
+//!    uninterrupted run's accounting, via [`lobster::Session::crash`].
 
 use crate::compile::{compile, compile_multitenant, Compiled};
 use crate::spec::{Scenario, ScenarioError};
 use lobster::db::LobsterDb;
-use lobster::driver::{ClusterSim, RunReport};
+use lobster::driver::{ClusterSim, RunReport, Session, Step};
 use lobster::monitor::Accounting;
 use opsplane::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
-use simkit::fault::CrashPoint;
+use simkit::fault::CrashSite;
 use simkit::time::SimTime;
 use simkit::trace::Trace;
 use std::fmt;
@@ -223,7 +222,8 @@ impl ScenarioRunner {
         // (conservation, via a cold journal replay).
         let ref_path = self.root.join(format!("{}-ref", sc.name));
         cleanup(&ref_path);
-        let reference = ClusterSim::run_durable(cfg, params, workflows, &ref_path)?;
+        let reference =
+            Session::new(ClusterSim::durable(cfg, params, workflows, &ref_path)?).finish();
         let finished_at = match reference.finished_at {
             Some(t) => t,
             None => {
@@ -283,7 +283,7 @@ impl ScenarioRunner {
             params,
             workflows,
         } = compile(sc)?;
-        let memory = ClusterSim::run(cfg, params, workflows);
+        let memory = Session::new(ClusterSim::new(cfg, params, workflows)).finish();
         let (ref_bytes, ref_digest) = trace_bytes(&reference)?;
         let (mem_bytes, mem_digest) = trace_bytes(&memory)?;
         if ref_bytes != mem_bytes {
@@ -304,14 +304,9 @@ impl ScenarioRunner {
             params,
             workflows,
         } = compile(sc)?;
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            workflows,
-            &crash_path,
-            CrashPoint::after_events(budget),
-        )?;
-        if crashed.is_some() {
+        let horizon = SimTime::ZERO + params.horizon;
+        let mut crashed = Session::new(ClusterSim::durable(cfg, params, workflows, &crash_path)?);
+        if crashed.step(horizon, budget) == Step::Quiescent {
             cleanup(&crash_path);
             return Self::invariant(
                 sc,
@@ -322,12 +317,14 @@ impl ScenarioRunner {
                 ),
             );
         }
+        crashed.crash(CrashSite::CommitBoundary);
         let Compiled {
             cfg,
             params,
             workflows,
         } = compile(sc)?;
-        let resumed = ClusterSim::resume_run(cfg, params, workflows, &crash_path)?;
+        let resumed =
+            Session::new(ClusterSim::resume(cfg, params, workflows, &crash_path)?).finish();
         if resumed.finished_at.is_none() {
             cleanup(&crash_path);
             return Self::invariant(sc, "crash-resume", "resumed run never finished".to_string());

@@ -28,10 +28,11 @@
 use batchsim::arbiter::{ArbiterConfig, FairShareArbiter};
 use batchsim::pool::{OpportunisticPool, PoolConfig};
 use lobster::config::{LobsterConfig, WorkloadKind};
-use lobster::driver::{ClusterSim, Ev, RunReport, SimParams};
+use lobster::driver::{ClusterSim, RunReport, Session, SimParams};
 use lobster::workflow::Workflow;
 use opsplane::federate::{FederatedSnapshot, TenantMetrics};
 use serde::Serialize;
+use simkit::fault::CrashSite;
 use simkit::prelude::*;
 use simkit::rng::SimRng;
 use simkit::trace::Trace;
@@ -65,7 +66,7 @@ pub struct TenancyConfig {
     /// The one physical pool every master scavenges: total cores and the
     /// owner-demand walk that eats into them.
     pub pool: PoolConfig,
-    /// Arbitration round: cap recomputation and engine lockstep period.
+    /// Arbitration round: cap recomputation and session lockstep period.
     pub round: SimDuration,
     /// Fair-share arbiter parameters (usage decay, no-starvation floor).
     pub arbiter: ArbiterConfig,
@@ -157,23 +158,21 @@ pub struct MultiTenantReport {
 struct CrashPlan {
     /// Index of the tenant to kill.
     victim: usize,
-    /// Engine events the victim may still deliver before the kill.
+    /// Events the victim may still deliver before the kill.
     budget: u64,
 }
 
-/// The multi-tenant coordinator: owns one engine per tenant, the shared
+/// The multi-tenant coordinator: owns one session per tenant, the shared
 /// pool walk and the arbiter, and drives everything in round-lockstep.
 pub struct MultiTenant {
     cfg: TenancyConfig,
     specs: Vec<TenantSpec>,
-    engines: Vec<Option<Engine<ClusterSim>>>,
+    sessions: Vec<Option<Session>>,
     arbiter: FairShareArbiter,
     shared: OpportunisticPool,
-    /// Per-tenant engine deadline. A resumed tenant's clock restarts at
+    /// Per-tenant session deadline. A resumed tenant's clock restarts at
     /// zero, so deadlines are tracked per tenant, not globally.
     target: Vec<SimTime>,
-    /// Last observed engine time per tenant (report `ended_at`).
-    ended: Vec<SimTime>,
     caps: Vec<Vec<u32>>,
     /// Monotone per-tenant WAN pull accounting. Kept coordinator-side so
     /// shared-cache warmth survives a tenant crash (the site caches do
@@ -269,7 +268,7 @@ impl MultiTenant {
             std::fs::create_dir_all(r)?;
         }
         let mut arbiter = FairShareArbiter::new(cfg.arbiter);
-        let mut engines = Vec::with_capacity(tenants.len());
+        let mut sessions = Vec::with_capacity(tenants.len());
         for (i, spec) in tenants.iter_mut().enumerate() {
             spec.params = Self::tenant_params(&cfg, spec);
             let sim = match root {
@@ -285,21 +284,18 @@ impl MultiTenant {
                     journal_dir(r, i, &spec.name),
                 )?,
             };
-            let mut engine = Engine::with_kind(sim, spec.params.engine);
-            engine.prime(SimDuration::ZERO, Ev::Start);
             arbiter.register(spec.weight);
-            engines.push(Some(engine));
+            sessions.push(Some(Session::new(sim)));
         }
         let n = tenants.len();
         let shared = OpportunisticPool::new(cfg.pool, SimRng::new(cfg.seed));
         Ok(MultiTenant {
             cfg,
             specs: tenants,
-            engines,
+            sessions,
             arbiter,
             shared,
             target: vec![SimTime::ZERO; n],
-            ended: vec![SimTime::ZERO; n],
             caps: vec![Vec::new(); n],
             pulled: vec![BTreeMap::new(); n],
             root: root.map(Path::to_path_buf),
@@ -311,7 +307,7 @@ impl MultiTenant {
     }
 
     /// Schedule a crash: kill tenant `victim`'s master after it delivers
-    /// `after_events` more engine events, then resume it from its journal
+    /// `after_events` more events, then resume it from its journal
     /// within the same round. Durable runs only.
     pub fn crash_tenant(&mut self, victim: usize, after_events: u64) -> Result<(), TenancyError> {
         if self.root.is_none() {
@@ -339,8 +335,8 @@ impl MultiTenant {
     /// owes — and peers see the exact same round count with or without
     /// the crash.
     fn tenant_active(&self, i: usize) -> bool {
-        match &self.engines[i] {
-            Some(e) => !e.model().is_finished() && self.clock < SimTime::ZERO + self.cfg.horizon,
+        match &self.sessions[i] {
+            Some(s) => !s.sim().is_finished() && self.clock < SimTime::ZERO + self.cfg.horizon,
             None => false,
         }
     }
@@ -359,10 +355,10 @@ impl MultiTenant {
         let n = self.specs.len();
         let mut d = vec![0u32; n];
         for (i, slot) in d.iter_mut().enumerate() {
-            let Some(e) = &self.engines[i] else {
+            let Some(s) = &self.sessions[i] else {
                 continue;
             };
-            let m = e.model();
+            let m = s.sim();
             if m.is_finished() {
                 continue;
             }
@@ -375,7 +371,7 @@ impl MultiTenant {
         d
     }
 
-    /// Fold each engine's WAN accounting into the monotone coordinator
+    /// Fold each session's WAN accounting into the monotone coordinator
     /// ledger, then push the resulting warmth back into every tenant:
     /// tenant `i`'s warmth on dataset `d` is the fraction of `d` that
     /// *other* tenants already pulled (capped at 1). A solo tenant's
@@ -383,16 +379,16 @@ impl MultiTenant {
     fn exchange_cache_warmth(&mut self) {
         let n = self.specs.len();
         for i in 0..n {
-            let Some(e) = &self.engines[i] else {
+            let Some(s) = &self.sessions[i] else {
                 continue;
             };
-            for (ds, &bytes) in e.model().wan_bytes_by_dataset() {
+            for (ds, &bytes) in s.sim().wan_bytes_by_dataset() {
                 let slot = self.pulled[i].entry(ds.clone()).or_insert(0);
                 *slot = (*slot).max(bytes);
             }
         }
         for i in 0..n {
-            if self.engines[i].is_none() {
+            if self.sessions[i].is_none() {
                 continue;
             }
             for w in 0..self.specs[i].workflows.len() {
@@ -413,8 +409,8 @@ impl MultiTenant {
                     }
                 }
                 let warm = (others as f64 / total as f64).min(1.0);
-                if let Some(e) = &mut self.engines[i] {
-                    e.model_mut().set_dataset_warmth(&ds, warm);
+                if let Some(s) = &mut self.sessions[i] {
+                    s.sim_mut().set_dataset_warmth(&ds, warm);
                 }
             }
         }
@@ -422,7 +418,7 @@ impl MultiTenant {
 
     /// Kill the victim's master (dropping its open group-commit window,
     /// like a real process death) and resume it from its journal. The
-    /// resumed engine's clock restarts at zero; its arbitration deadline
+    /// resumed session's clock restarts at zero; its arbitration deadline
     /// follows.
     fn crash_and_resume(&mut self, victim: usize) -> Result<(), TenancyError> {
         let root = match &self.root {
@@ -433,8 +429,8 @@ impl MultiTenant {
                 ))
             }
         };
-        if let Some(e) = self.engines[victim].take() {
-            e.into_model().crash_now();
+        if let Some(s) = self.sessions[victim].take() {
+            s.crash(CrashSite::InsideCommitWindow);
         }
         let spec = &self.specs[victim];
         let sim = ClusterSim::resume(
@@ -443,18 +439,15 @@ impl MultiTenant {
             spec.workflows.clone(),
             journal_dir(&root, victim, &spec.name),
         )?;
-        let mut engine = Engine::with_kind(sim, spec.params.engine);
-        engine.prime(SimDuration::ZERO, Ev::Start);
-        self.engines[victim] = Some(engine);
+        self.sessions[victim] = Some(Session::new(sim));
         self.target[victim] = SimTime::ZERO;
-        self.ended[victim] = SimTime::ZERO;
         self.crash_round = Some(self.rounds);
         Ok(())
     }
 
     /// One arbitration round: advance the shared owner-demand walk,
     /// allocate caps from demand and decayed usage, exchange cache
-    /// warmth, then step every engine one round in tenant-index order.
+    /// warmth, then step every session one round in tenant-index order.
     fn advance_round(&mut self) -> Result<(), TenancyError> {
         let n = self.specs.len();
         self.clock += self.cfg.round;
@@ -475,27 +468,24 @@ impl MultiTenant {
             self.caps[i].push(alloc.get(i).copied().unwrap_or(0));
             let deadline = self.target[i] + self.cfg.round;
             self.target[i] = deadline;
-            let Some(e) = &mut self.engines[i] else {
+            let Some(s) = &mut self.sessions[i] else {
                 continue;
             };
-            e.model_mut()
-                .set_core_cap(alloc.get(i).copied().unwrap_or(0));
-            let is_victim = matches!(self.crash, Some(c) if c.victim == i);
-            if is_victim {
-                let budget = match self.crash {
-                    Some(c) => c.budget,
-                    None => 0,
-                };
-                let before = e.ctx().delivered();
-                self.ended[i] = e.run_until_events(deadline, budget);
-                let used = e.ctx().delivered().saturating_sub(before);
-                if used >= budget {
-                    crash_now = Some(i);
-                } else if let Some(c) = &mut self.crash {
-                    c.budget -= used;
+            s.sim_mut().set_core_cap(alloc.get(i).copied().unwrap_or(0));
+            match &mut self.crash {
+                Some(c) if c.victim == i => {
+                    let before = s.status().events_delivered;
+                    s.step(deadline, c.budget);
+                    let used = s.status().events_delivered - before;
+                    if used >= c.budget {
+                        crash_now = Some(i);
+                    } else {
+                        c.budget -= used;
+                    }
                 }
-            } else {
-                self.ended[i] = e.run_until(deadline);
+                _ => {
+                    s.step(deadline, u64::MAX);
+                }
             }
         }
         if let Some(victim) = crash_now {
@@ -516,11 +506,10 @@ impl MultiTenant {
         let mut outcomes = Vec::with_capacity(n);
         let mut fed_tenants = Vec::with_capacity(n);
         for i in 0..n {
-            let Some(mut e) = self.engines[i].take() else {
+            let Some(s) = self.sessions[i].take() else {
                 continue;
             };
-            let delivered = e.ctx().delivered();
-            let report = e.into_model().into_report(self.ended[i], delivered);
+            let report = s.into_report();
             let spec = &self.specs[i];
             fed_tenants.push(TenantMetrics {
                 tenant: spec.name.clone(),

@@ -12,7 +12,7 @@ use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::config::LobsterConfig;
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::workflow::Workflow;
 use simkit::plot::sparkline;
 use simkit::time::{SimDuration, SimTime};
@@ -66,7 +66,7 @@ fn main() {
         ..SimParams::default()
     };
 
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     println!(
         "concurrent tasks  {}",
         sparkline(&report.timeline.concurrency())

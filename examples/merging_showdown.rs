@@ -16,7 +16,7 @@ use gridstore::dbs::{DatasetSpec, Dbs};
 use gridstore::hdfs::Hdfs;
 use gridstore::mapreduce::MapReduce;
 use lobster::config::LobsterConfig;
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::merge::{merge_in_hadoop, MergeMode, MergePlanner};
 use lobster::workflow::Workflow;
 use simkit::time::SimDuration;
@@ -61,7 +61,8 @@ fn simulate(mode: MergeMode) -> f64 {
         hadoop_rate: 30e6,
         ..SimParams::default()
     };
-    ClusterSim::run(cfg, params, vec![wf])
+    Session::new(ClusterSim::new(cfg, params, vec![wf]))
+        .finish()
         .finished_at
         .map(|t| t.as_hours_f64())
         .unwrap_or(f64::NAN)

@@ -4,7 +4,7 @@
 //!     cargo run --release -p scenario --example scenario_run
 //!     cargo run --release -p scenario --example scenario_run -- scenarios/wan_brownout.json
 
-use lobster::driver::ClusterSim;
+use lobster::driver::{ClusterSim, Session};
 use scenario::compile::{compile, Compiled};
 use scenario::spec::Scenario;
 
@@ -33,7 +33,7 @@ fn main() {
     let total_tasklets: u64 = workflows.iter().map(|w| w.n_tasklets()).sum();
     println!("tasklets  : {total_tasklets}");
 
-    let report = ClusterSim::run(cfg, params, workflows);
+    let report = Session::new(ClusterSim::new(cfg, params, workflows)).finish();
     match report.finished_at {
         Some(t) => println!("finished  : {:.1} h of sim time", t.as_hours_f64()),
         None => println!("finished  : DID NOT DRAIN within {} h", sc.horizon_hours),

@@ -11,7 +11,7 @@ use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use cvmfssim::squid::SquidConfig;
 use lobster::config::{LobsterConfig, WorkflowConfig};
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::workflow::Workflow;
 use simkit::plot::sparkline;
 use simkit::time::SimDuration;
@@ -58,7 +58,7 @@ fn main() {
         ..SimParams::default()
     };
 
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     println!(
         "concurrent tasks     {}",
         sparkline(&report.timeline.concurrency())

@@ -14,7 +14,7 @@ use batchsim::pool::PoolConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::config::{Backoff, JournalPolicy, LobsterConfig};
 use lobster::db::LobsterDb;
-use lobster::driver::{ClusterSim, RunReport, SimParams};
+use lobster::driver::{ClusterSim, RunReport, Session, SimParams, Step};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
@@ -48,6 +48,25 @@ fn shard_file(path: &Path) -> PathBuf {
 
 fn master_file(path: &Path) -> PathBuf {
     path.join("master.wal")
+}
+
+/// The crash workload's horizon.
+fn horizon() -> SimDuration {
+    SimDuration::from_hours(96)
+}
+
+/// Drive `sim` until `crash` kills it: `None` when the crash landed
+/// mid-run (only the journal survives), the report when the run drained
+/// first.
+fn until_crash(sim: ClusterSim, crash: CrashPoint) -> Option<RunReport> {
+    let mut session = Session::new(sim);
+    match session.step(SimTime::ZERO + horizon(), crash.after_events) {
+        Step::Budget => {
+            session.crash(crash.site);
+            None
+        }
+        Step::Quiescent => Some(session.finish()),
+    }
 }
 
 /// A small but non-trivial workload: enough tasks that crashes land in
@@ -88,7 +107,7 @@ fn setup(merge: MergeMode, n_files: usize) -> (LobsterConfig, SimParams, Vec<Wor
             noise: 0.0,
             tick: SimDuration::from_mins(5),
         },
-        horizon: SimDuration::from_hours(96),
+        horizon: horizon(),
         ..SimParams::default()
     };
     (cfg, params, vec![wf])
@@ -135,7 +154,7 @@ fn reference_run(
 ) -> (RunReport, PathBuf) {
     let path = journal_path(tag);
     let (cfg, params, wfs) = mk();
-    let report = ClusterSim::run_durable(cfg, params, wfs, &path).unwrap();
+    let report = Session::new(ClusterSim::durable(cfg, params, wfs, &path).unwrap()).finish();
     assert!(report.finished_at.is_some(), "reference must finish");
     (report, path)
 }
@@ -152,20 +171,16 @@ fn crash_at_event_boundaries_resumes_to_same_accounting() {
     for crash_after in [1, n / 4, n / 2, 3 * n / 4, n - 1] {
         let path = journal_path(&format!("crash-{crash_after}"));
         let (cfg, params, wfs) = mk();
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            wfs,
-            &path,
+        let crashed = until_crash(
+            ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
             CrashPoint::after_events(crash_after),
-        )
-        .unwrap();
+        );
         assert!(
             crashed.is_none(),
             "budget {crash_after} of {n} events must crash mid-run"
         );
         let (cfg, params, wfs) = mk();
-        let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+        let resumed = Session::new(ClusterSim::resume(cfg, params, wfs, &path).unwrap()).finish();
         assert_converged(
             &resumed,
             &reference,
@@ -197,14 +212,10 @@ fn crash_mid_wal_append_resumes_to_same_accounting() {
     ] {
         let path = journal_path(&format!("torn-{which}-{torn_bytes}"));
         let (cfg, params, wfs) = mk();
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            wfs,
-            &path,
+        let crashed = until_crash(
+            ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
             CrashPoint::after_events(n / 2),
-        )
-        .unwrap();
+        );
         assert!(crashed.is_none());
         let victim = match which {
             "shard" => shard_file(&path),
@@ -216,7 +227,7 @@ fn crash_mid_wal_append_resumes_to_same_accounting() {
         f.set_len(len - torn_bytes).unwrap();
         drop(f);
         let (cfg, params, wfs) = mk();
-        let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+        let resumed = Session::new(ClusterSim::resume(cfg, params, wfs, &path).unwrap()).finish();
         assert_converged(
             &resumed,
             &reference,
@@ -236,14 +247,10 @@ fn crash_point_past_the_end_is_a_normal_run() {
     cleanup(&ref_path);
     let path = journal_path("past-end");
     let (cfg, params, wfs) = mk();
-    let report = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
+    let report = until_crash(
+        ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
         CrashPoint::after_events(reference.events_delivered + 1_000),
     )
-    .unwrap()
     .expect("run drains before the crash budget");
     assert_eq!(report.tasks_completed, reference.tasks_completed);
     assert_eq!(report.merges_completed, reference.merges_completed);
@@ -259,10 +266,10 @@ fn crash_point_past_the_end_is_a_normal_run() {
 fn durable_run_is_byte_identical_to_in_memory_run() {
     let mk = || setup(MergeMode::Interleaved, 10);
     let (cfg, params, wfs) = mk();
-    let mem = ClusterSim::run(cfg, params, wfs);
+    let mem = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
     let path = journal_path("identical");
     let (cfg, params, wfs) = mk();
-    let dur = ClusterSim::run_durable(cfg, params, wfs, &path).unwrap();
+    let dur = Session::new(ClusterSim::durable(cfg, params, wfs, &path).unwrap()).finish();
 
     assert_eq!(mem.tasks_completed, dur.tasks_completed);
     assert_eq!(mem.tasks_failed, dur.tasks_failed);
@@ -312,17 +319,13 @@ fn crash_with_dead_letters_conserves_tasklets() {
 
     let path = journal_path("dead-letters");
     let (cfg, params, wfs) = mk();
-    let crashed = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
+    let crashed = until_crash(
+        ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
         CrashPoint::after_events(reference.events_delivered / 2),
-    )
-    .unwrap();
+    );
     assert!(crashed.is_none(), "crash lands mid-run");
     let (cfg, params, wfs) = mk();
-    let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+    let resumed = Session::new(ClusterSim::resume(cfg, params, wfs, &path).unwrap()).finish();
     assert!(resumed.finished_at.is_some(), "{resumed:?}");
     let merged_bytes: u64 = resumed.merged_files.iter().map(|m| m.1).sum();
     let dead_units: u64 = resumed.dead_letters.iter().map(|d| d.units).sum();
@@ -343,9 +346,10 @@ fn durable_and_resume_guard_their_preconditions() {
     let (cfg, params, wfs) = mk();
     // A 10-file run delivers well over 100 events (asserted by the
     // boundary test), so a 50-event budget always lands mid-run.
-    let crashed =
-        ClusterSim::run_durable_until_crash(cfg, params, wfs, &path, CrashPoint::after_events(50))
-            .unwrap();
+    let crashed = until_crash(
+        ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
+        CrashPoint::after_events(50),
+    );
     assert!(crashed.is_none());
 
     let (cfg, params, wfs) = mk();
@@ -410,14 +414,10 @@ fn mid_file_wal_corruption_fails_hard() {
     for which in ["first", "middle"] {
         let path = journal_path(&format!("corrupt-{which}"));
         let (cfg, params, wfs) = mk();
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            wfs,
-            &path,
+        let crashed = until_crash(
+            ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
             CrashPoint::after_events(n / 2),
-        )
-        .unwrap();
+        );
         assert!(crashed.is_none(), "budget must land mid-run");
 
         // Corrupt the task shard: with group commit one frame is a whole
@@ -441,7 +441,7 @@ fn mid_file_wal_corruption_fails_hard() {
         std::fs::write(&victim, &bytes).unwrap();
 
         let (cfg, params, wfs) = mk();
-        let err = match ClusterSim::resume_run(cfg, params, wfs, &path) {
+        let err = match ClusterSim::resume(cfg, params, wfs, &path) {
             Err(e) => e,
             Ok(_) => panic!("{which}-frame corruption must refuse to resume"),
         };
@@ -466,31 +466,23 @@ fn double_crash_resumes_twice_and_converges() {
 
     let path = journal_path("double-crash");
     let (cfg, params, wfs) = mk();
-    let first = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
+    let first = until_crash(
+        ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
         CrashPoint::after_events(n / 3),
-    )
-    .unwrap();
+    );
     assert!(first.is_none(), "first crash lands mid-run");
 
     // The resumed run replays state, then crashes again after a modest
     // budget of *its own* events — inside the work the first crash left.
     let (cfg, params, wfs) = mk();
-    let second = ClusterSim::resume_run_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
+    let second = until_crash(
+        ClusterSim::resume(cfg, params, wfs, &path).unwrap(),
         CrashPoint::after_events(n / 4),
-    )
-    .unwrap();
+    );
     assert!(second.is_none(), "second crash lands mid-resume");
 
     let (cfg, params, wfs) = mk();
-    let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+    let resumed = Session::new(ClusterSim::resume(cfg, params, wfs, &path).unwrap()).finish();
     assert_converged(&resumed, &reference, &path, "double crash");
     cleanup(&path);
 }
@@ -510,17 +502,13 @@ fn crash_inside_commit_window_resumes_to_same_accounting() {
     for crash_after in [n / 4, n / 2, 3 * n / 4] {
         let path = journal_path(&format!("window-{crash_after}"));
         let (cfg, params, wfs) = mk();
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            wfs,
-            &path,
+        let crashed = until_crash(
+            ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
             CrashPoint::inside_commit_window(crash_after),
-        )
-        .unwrap();
+        );
         assert!(crashed.is_none(), "budget must land mid-run");
         let (cfg, params, wfs) = mk();
-        let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+        let resumed = Session::new(ClusterSim::resume(cfg, params, wfs, &path).unwrap()).finish();
         assert_converged(
             &resumed,
             &reference,
@@ -533,27 +521,19 @@ fn crash_inside_commit_window_resumes_to_same_accounting() {
     // Stacked: boundary crash, resume, in-window crash, resume again.
     let path = journal_path("window-double");
     let (cfg, params, wfs) = mk();
-    let first = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
+    let first = until_crash(
+        ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
         CrashPoint::after_events(n / 3),
-    )
-    .unwrap();
+    );
     assert!(first.is_none());
     let (cfg, params, wfs) = mk();
-    let second = ClusterSim::resume_run_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
+    let second = until_crash(
+        ClusterSim::resume(cfg, params, wfs, &path).unwrap(),
         CrashPoint::inside_commit_window(n / 4),
-    )
-    .unwrap();
+    );
     assert!(second.is_none(), "second crash lands mid-resume");
     let (cfg, params, wfs) = mk();
-    let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+    let resumed = Session::new(ClusterSim::resume(cfg, params, wfs, &path).unwrap()).finish();
     assert_converged(&resumed, &reference, &path, "in-window double crash");
     cleanup(&path);
 }
@@ -571,21 +551,17 @@ fn crash_mid_compaction_ignores_stray_tmp() {
 
     let path = journal_path("compaction");
     let (cfg, params, wfs) = mk();
-    let crashed = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
+    let crashed = until_crash(
+        ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
         CrashPoint::after_events(n / 2),
-    )
-    .unwrap();
+    );
     assert!(crashed.is_none());
     // Simulate the torn compaction: a half-written replacement next to
     // the live shard file (any bytes — it was never fsync-renamed).
     let stray = path.join("shard-0000.wal.waltmp");
     std::fs::write(&stray, b"half-written compacted image").unwrap();
     let (cfg, params, wfs) = mk();
-    let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+    let resumed = Session::new(ClusterSim::resume(cfg, params, wfs, &path).unwrap()).finish();
     assert_converged(&resumed, &reference, &path, "mid-compaction crash");
     assert!(!stray.exists(), "reopen clears the stray tmp file");
     cleanup(&path);
@@ -611,14 +587,10 @@ fn full_crash_matrix() {
         for torn_bytes in [0u64, 5] {
             let path = journal_path(&format!("full-{i}-{torn_bytes}"));
             let (cfg, params, wfs) = mk();
-            let crashed = ClusterSim::run_durable_until_crash(
-                cfg,
-                params,
-                wfs,
-                &path,
+            let crashed = until_crash(
+                ClusterSim::durable(cfg, params, wfs, &path).unwrap(),
                 CrashPoint::after_events(crash_after),
-            )
-            .unwrap();
+            );
             assert!(crashed.is_none());
             if torn_bytes > 0 {
                 let victim = master_file(&path);
@@ -627,7 +599,8 @@ fn full_crash_matrix() {
                 f.set_len(len.saturating_sub(torn_bytes).max(16)).unwrap();
             }
             let (cfg, params, wfs) = mk();
-            let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+            let resumed =
+                Session::new(ClusterSim::resume(cfg, params, wfs, &path).unwrap()).finish();
             assert_converged(
                 &resumed,
                 &reference,

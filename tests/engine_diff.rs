@@ -13,7 +13,7 @@
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use lobster::config::{LobsterConfig, WorkflowConfig};
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::monitor::Accounting;
 use lobster::workflow::Workflow;
@@ -113,7 +113,7 @@ fn campaign(seed: u64, faults: bool, foremen: u32, engine: EngineKind) -> (Vec<u
         };
     }
 
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     let facts = ReportFacts {
         tasks_completed: report.tasks_completed,
         tasks_failed: report.tasks_failed,

@@ -10,7 +10,7 @@ use gridstore::hdfs::Hdfs;
 use gridstore::mapreduce::MapReduce;
 use lobster::config::{LobsterConfig, WorkflowConfig};
 use lobster::db::LobsterDb;
-use lobster::driver::{ClusterSim, SimParams};
+use lobster::driver::{ClusterSim, Session, SimParams, Step};
 use lobster::local::{LocalConfig, LocalLobster, TaskletFn};
 use lobster::merge::{merge_in_hadoop, MergeMode, MergePlanner};
 use lobster::monitor::Accounting;
@@ -100,7 +100,7 @@ fn sim_pipeline_conserves_output_bytes() {
         horizon: SimDuration::from_hours(200),
         ..SimParams::default()
     };
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     assert!(report.finished_at.is_some());
     let merged: u64 = report.merged_files.iter().map(|m| m.1).sum();
     assert_eq!(
@@ -170,7 +170,7 @@ fn same_seed_runs_serialise_to_identical_traces() {
             horizon: SimDuration::from_hours(250),
             ..SimParams::default()
         };
-        let report = ClusterSim::run(cfg, params, vec![wf]);
+        let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
         let record = RunTraceRecord {
             tasks_completed: report.tasks_completed,
             tasks_failed: report.tasks_failed,
@@ -257,7 +257,7 @@ fn driver_and_tasksize_model_agree_on_overhead_economics() {
         },
         ..SimParams::default()
     };
-    let report = ClusterSim::run(cfg, params, vec![wf]);
+    let report = Session::new(ClusterSim::new(cfg, params, vec![wf])).finish();
     assert!(report.finished_at.is_some());
     let acc = &report.accounting;
     let cpu_frac = acc.cpu / acc.total();
@@ -293,7 +293,7 @@ fn config_json_roundtrip_drives_identical_run() {
             horizon: SimDuration::from_hours(300),
             ..SimParams::default()
         };
-        ClusterSim::run(cfg, params, vec![wf])
+        Session::new(ClusterSim::new(cfg, params, vec![wf])).finish()
     };
     let a = run(cfg);
     let b = run(cfg2);
@@ -390,7 +390,7 @@ fn mixed_workflows_share_the_fleet() {
         horizon: SimDuration::from_hours(400),
         ..SimParams::default()
     };
-    let report = ClusterSim::run(cfg, params, wfs);
+    let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
     assert!(report.finished_at.is_some(), "both workflows complete");
     assert!(report.tasks_completed > 0);
 }
@@ -447,7 +447,7 @@ fn advisor_remediation_loop() {
             },
             ..SimParams::default()
         };
-        ClusterSim::run(cfg, params, vec![wf])
+        Session::new(ClusterSim::new(cfg, params, vec![wf])).finish()
     };
 
     let sick = run(1);
@@ -520,7 +520,7 @@ fn same_seed_runs_emit_byte_identical_metrics_snapshots() {
             horizon: SimDuration::from_hours(250),
             ..SimParams::default()
         };
-        let report = ClusterSim::run(cfg.clone(), params.clone(), vec![wf]);
+        let report = Session::new(ClusterSim::new(cfg.clone(), params.clone(), vec![wf])).finish();
         lobster::ops::snapshot_from_run("integration", &cfg, &params, &report).to_json()
     };
     let a = run_once();
@@ -539,8 +539,6 @@ fn same_seed_runs_emit_byte_identical_metrics_snapshots() {
 /// converge to the same final accounting as an uninterrupted run.
 #[test]
 fn ops_pause_checkpoint_resume_converges() {
-    use lobster::driver::{OpsOutcome, OpsRequest};
-
     let dir = std::env::temp_dir().join("lobster-ops-pause");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("pause-{}.wal", std::process::id()));
@@ -572,43 +570,31 @@ fn ops_pause_checkpoint_resume_converges() {
 
     // Uninterrupted reference.
     let (cfg, params, wfs) = mk();
-    let reference = ClusterSim::run(cfg, params, wfs);
+    let reference = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
     assert!(reference.finished_at.is_some(), "reference must finish");
     // Size the poll window so the third sample lands ~30% into the run.
     let poll_every = (reference.events_delivered / 10).max(1);
 
-    let mut polls = 0u32;
+    // Poll every `poll_every` events; the controller pauses at the
+    // third sample with a durable checkpoint.
     let (cfg, params, wfs) = mk();
-    let outcome = ClusterSim::run_durable_with_ops(cfg, params, wfs, &path, poll_every, |status| {
-        polls += 1;
-        assert!(status.events_delivered > 0, "status carries progress");
-        if polls == 3 {
-            OpsRequest::Pause
-        } else {
-            OpsRequest::Continue
-        }
-    })
-    .unwrap();
-    let status = match outcome {
-        OpsOutcome::Paused(s) => s,
-        OpsOutcome::Completed(_) => panic!("run completed before the pause request"),
-    };
-    assert_eq!(polls, 3, "controller stops being polled after the pause");
+    let horizon = SimTime::ZERO + params.horizon;
+    let mut session = Session::new(ClusterSim::durable(cfg, params, wfs, &path).unwrap());
+    for _ in 0..3 {
+        let step = session.step(horizon, poll_every);
+        assert_eq!(step, Step::Budget, "run completed before the pause request");
+    }
+    let status = session.status();
+    assert!(status.events_delivered > 0, "status carries progress");
     assert!(
         status.live_tasks > 0 || status.counters.tasks_completed > 0,
         "pause landed mid-run: {status:?}"
     );
+    session.checkpoint().unwrap();
 
-    // Resume through the ops plane, never pausing again.
+    // Resume from the checkpointed journal and run to completion.
     let (cfg, params, wfs) = mk();
-    let resumed = match ClusterSim::resume_run_with_ops(cfg, params, wfs, &path, 100_000, |_| {
-        OpsRequest::Continue
-    })
-    .unwrap()
-    {
-        OpsOutcome::Completed(report) => *report,
-        OpsOutcome::Paused(s) => panic!("resume paused without being asked: {s:?}"),
-    };
+    let resumed = Session::new(ClusterSim::resume(cfg, params, wfs, &path).unwrap()).finish();
     assert!(resumed.finished_at.is_some(), "resumed run must finish");
     let merged = |r: &lobster::RunReport| -> u64 { r.merged_files.iter().map(|m| m.1).sum() };
     assert_eq!(
