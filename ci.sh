@@ -43,6 +43,12 @@ step cargo run -q -p simlint -- --check
 
 step cargo test --workspace -q
 
+# perfbench self-test (the benchmark is a package of its own, outside the
+# workspace): every workload at toy size, untraced and traced, including
+# the journaled crash, resume and cold-recover path of analysis_durable.
+# Building it refreshes perfbench/Cargo.lock while that file is stale.
+step cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Release-mode cluster-run smoke: fixed seed, failure-policy machinery
 # included; writes throughput numbers to BENCH_cluster.json plus the
 # ops-plane snapshot METRICS_cluster.json. Schema drift against the
@@ -61,10 +67,12 @@ step cargo run -q --release -p lobster --bin lobster -- \
 step cargo run -q --release -p lobster-bench --bin bench_scale
 
 # Recovery bench: WAL v3 snapshot+tail vs full replay, and operating
-# journal bytes per record. Rewrites BENCH_recovery.json and fails on
-# more than 7.8 journal bytes per record, a resume over 100 ms, a >20%
-# resume-latency regression vs the committed baseline, or any
-# journal-size growth.
+# journal bytes per record. Compares against the committed
+# BENCH_recovery.json before writing anything, then writes its result to
+# target/bench/BENCH_recovery.json (the committed file changes only with
+# `-- --bless`). Fails on more than 7.8 journal bytes per record, a
+# resume over 100 ms, a >20% resume-latency regression vs the baseline,
+# or any change in either leg's journal bytes or the record count.
 step cargo run -q --release -p lobster-bench --bin bench_recovery
 
 # Multi-tenant sweep (1 -> 100 masters over one shared pool). Rewrites

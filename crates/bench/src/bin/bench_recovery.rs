@@ -14,11 +14,19 @@
 //!
 //! 1. snapshot+tail must beat full replay, and resume in < 100 ms;
 //! 2. the operating-policy journal must stay within
-//!    [`MAX_OPERATING_BYTES_PER_RECORD`] on-disk bytes per record.
+//!    [`MAX_OPERATING_BYTES_PER_RECORD`] on-disk bytes per record;
+//! 3. against the committed `BENCH_recovery.json`, read and compared
+//!    before anything is written: both legs' journal bytes and the record
+//!    count must match it exactly (the run is seeded, so the journal is
+//!    byte-deterministic), and resume may be at most 20% slower.
 //!
-//! Writes `BENCH_recovery.json`; `ci.sh` compares it against the
-//! committed baseline and fails on >20% resume-latency regression or any
-//! journal-size growth.
+//! Each run writes its result to `target/bench/BENCH_recovery.json`. The
+//! committed baseline is rewritten only by `--bless`, which skips the
+//! baseline comparison (the absolute gates still apply):
+//!
+//! ```sh
+//! cargo run --release -p lobster-bench --bin bench_recovery [-- --bless]
+//! ```
 
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
@@ -145,38 +153,91 @@ fn time_recover(path: &PathBuf) -> (f64, LobsterDb) {
     (best, db.expect("at least one rep"))
 }
 
-/// Baseline (resume seconds, journal bytes) of the snapshot+tail leg
-/// from a committed BENCH_recovery.json, if one exists and parses.
-fn read_baseline(path: &str) -> Option<(f64, u64)> {
+/// The gated fields of a committed BENCH_recovery.json.
+struct Baseline {
+    records: u64,
+    replay_bytes: u64,
+    snap_bytes: u64,
+    snap_secs: f64,
+}
+
+/// Read the committed baseline at `path`; `None` when it is missing or
+/// lacks a gated field.
+fn read_baseline(path: &str) -> Option<Baseline> {
     use serde_json::Value;
     let text = std::fs::read_to_string(path).ok()?;
-    let v: Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("bench_recovery: ignoring unparseable baseline {path}");
-            return None;
+    let v: Value = serde_json::from_str(&text).ok()?;
+    let root = v.as_object()?;
+    let leg = |name: &str| Value::get_field(root, name)?.as_object();
+    let count = |fields: &[(String, Value)], key: &str| match Value::get_field(fields, key)? {
+        Value::U64(n) => Some(*n),
+        _ => None,
+    };
+    let snap = leg("snapshot_tail")?;
+    Some(Baseline {
+        records: count(root, "records")?,
+        replay_bytes: count(leg("full_replay")?, "journal_bytes")?,
+        snap_bytes: count(snap, "journal_bytes")?,
+        snap_secs: match Value::get_field(snap, "recover_secs")? {
+            Value::F64(x) => *x,
+            Value::U64(n) => *n as f64,
+            _ => return None,
+        },
+    })
+}
+
+/// Compare a run with the committed baseline; one message per failed
+/// gate.
+fn baseline_failures(base: &Baseline, r: &BenchResult) -> Vec<String> {
+    let mut out = Vec::new();
+    let exact = [
+        ("records", base.records, r.records),
+        (
+            "full_replay.journal_bytes",
+            base.replay_bytes,
+            r.full_replay.journal_bytes,
+        ),
+        (
+            "snapshot_tail.journal_bytes",
+            base.snap_bytes,
+            r.snapshot_tail.journal_bytes,
+        ),
+    ];
+    for (name, old, new) in exact {
+        if old != new {
+            out.push(format!("{name} is {new}, the baseline has {old}"));
         }
-    };
-    let leg = Value::get_field(v.as_object()?, "snapshot_tail")?.as_object()?;
-    let secs = match Value::get_field(leg, "recover_secs")? {
-        Value::F64(x) => *x,
-        Value::U64(n) => *n as f64,
-        Value::I64(n) => *n as f64,
-        _ => return None,
-    };
-    let bytes = match Value::get_field(leg, "journal_bytes")? {
-        Value::U64(n) => *n,
-        _ => return None,
-    };
-    Some((secs, bytes))
+    }
+    let ceiling = base.snap_secs * (1.0 + MAX_REGRESSION);
+    if r.snapshot_tail.recover_secs > ceiling {
+        out.push(format!(
+            "resume {:.6}s > {ceiling:.6}s (baseline {:.6}s + {:.0}%)",
+            r.snapshot_tail.recover_secs,
+            base.snap_secs,
+            MAX_REGRESSION * 100.0
+        ));
+    }
+    out
 }
 
 /// >20% slower resume than the committed baseline fails the gate.
 const MAX_REGRESSION: f64 = 0.20;
 
+/// The committed baseline.
+const BASELINE_PATH: &str = "BENCH_recovery.json";
+/// Where every run writes its result.
+const RESULT_PATH: &str = "target/bench/BENCH_recovery.json";
+
 fn main() {
-    let out_path = "BENCH_recovery.json";
-    let baseline = read_baseline(out_path);
+    let bless = match std::env::args().nth(1).as_deref() {
+        None => false,
+        Some("--bless") => true,
+        Some(arg) => {
+            eprintln!("bench_recovery: unknown argument {arg} (only --bless)");
+            std::process::exit(2);
+        }
+    };
+    let baseline = read_baseline(BASELINE_PATH);
     let replay_path = journal_path("full-replay");
     let snap_path = journal_path("snapshot-tail");
 
@@ -251,12 +312,28 @@ fn main() {
         speedup: replay_secs / snap_secs.max(1e-9),
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write(out_path, &json).expect("writable cwd");
-
     println!("== bench_recovery (seed {SEED}) ==");
     println!("{json}");
 
     let mut failed = false;
+    // The baseline gates run before anything is written, so a failing
+    // run can never become the baseline a rerun compares against.
+    match (&baseline, bless) {
+        (_, true) => println!("bench_recovery: --bless: baseline comparison skipped"),
+        (None, false) => {
+            eprintln!(
+                "bench_recovery: no readable baseline at {BASELINE_PATH}; \
+                 run with --bless to create one"
+            );
+            failed = true;
+        }
+        (Some(base), false) => {
+            for msg in baseline_failures(base, &result) {
+                eprintln!("bench_recovery: REGRESSION: {msg}");
+                failed = true;
+            }
+        }
+    }
     if replay_secs <= snap_secs {
         eprintln!(
             "bench_recovery: snapshot+tail ({snap_secs:.6}s) did not beat \
@@ -278,30 +355,15 @@ fn main() {
         );
         failed = true;
     }
-    // Regression gate against the committed baseline (the file as it
-    // stood before this run overwrote it). The run is fully seeded, so
-    // the journal is byte-deterministic: any size growth is a real
-    // format/policy change and fails, not just a noisy measurement.
-    if let Some((old_secs, old_bytes)) = baseline {
-        let ceiling = old_secs * (1.0 + MAX_REGRESSION);
-        if snap_secs > ceiling {
-            eprintln!(
-                "bench_recovery: REGRESSION: resume {snap_secs:.6}s > {ceiling:.6}s \
-                 (baseline {old_secs:.6}s + {:.0}%)",
-                MAX_REGRESSION * 100.0
-            );
-            failed = true;
-        }
-        if snap_bytes > old_bytes {
-            eprintln!(
-                "bench_recovery: REGRESSION: journal grew to {snap_bytes} bytes \
-                 (baseline {old_bytes})"
-            );
-            failed = true;
-        }
-    }
+    std::fs::create_dir_all("target/bench").expect("writable target dir");
+    std::fs::write(RESULT_PATH, &json).expect("writable target dir");
+    println!("bench_recovery: wrote {RESULT_PATH}");
     if failed {
         std::process::exit(1);
+    }
+    if bless {
+        std::fs::write(BASELINE_PATH, &json).expect("writable cwd");
+        println!("bench_recovery: blessed {BASELINE_PATH}");
     }
     cleanup(&replay_path);
     cleanup(&snap_path);

@@ -42,17 +42,37 @@ fn invalid(msg: &str) -> io::Error {
 
 // ---- primitive writers -------------------------------------------------
 
-/// LEB128 unsigned varint.
-pub(crate) fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
+/// Longest LEB128 encoding of a `u64`.
+pub(crate) const MAX_VARINT_LEN: usize = 10;
+
+/// Emit the LEB128 unsigned varint of `v`, low group first.
+fn leb128(mut v: u64, mut emit: impl FnMut(u8)) {
     loop {
         let b = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf.push(b);
+            emit(b);
             return;
         }
-        buf.push(b | 0x80);
+        emit(b | 0x80);
     }
+}
+
+/// LEB128 unsigned varint.
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    leb128(v, |b| buf.push(b));
+}
+
+/// LEB128 unsigned varint of `v` into a fixed array: the bytes and how
+/// many of them are used.
+pub(crate) fn varint(v: u64) -> ([u8; MAX_VARINT_LEN], usize) {
+    let mut out = [0u8; MAX_VARINT_LEN];
+    let mut n = 0;
+    leb128(v, |b| {
+        out[n] = b;
+        n += 1;
+    });
+    (out, n)
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -87,10 +107,10 @@ fn put_dur(buf: &mut Vec<u8>, d: SimDuration) {
 /// Tasklet lists are claimed in ascending order, so consecutive deltas
 /// are small non-negatives; zigzag keeps the encoding total for any
 /// order all the same.
-fn put_tasklets(buf: &mut Vec<u8>, ts: &[u64]) {
+fn put_tasklets(buf: &mut Vec<u8>, ts: impl ExactSizeIterator<Item = u64>) {
     put_u64(buf, ts.len() as u64);
     let mut prev = 0i64;
-    for &t in ts {
+    for t in ts {
         let v = t as i64;
         put_u64(buf, zigzag(v.wrapping_sub(prev)));
         prev = v;
@@ -412,7 +432,7 @@ fn get_accounting(r: &mut Reader<'_>) -> io::Result<Accounting> {
     })
 }
 
-fn put_inputs(buf: &mut Vec<u8>, inputs: &MergeInputs) {
+fn put_inputs(buf: &mut Vec<u8>, inputs: &[(TaskId, u64)]) {
     put_u64(buf, inputs.len() as u64);
     for (src, bytes) in inputs {
         put_task(buf, *src);
@@ -429,30 +449,65 @@ fn get_inputs(r: &mut Reader<'_>) -> io::Result<MergeInputs> {
     Ok(out)
 }
 
-fn put_shard_snap(buf: &mut Vec<u8>, s: &ShardSnap) {
+/// One shard snapshot frame, borrowed in encoding order. Compaction fills
+/// it straight from the db's slabs; a [`ShardSnap`] fills it when a
+/// decoded snapshot record is re-encoded. The filtered row lists are
+/// walked twice — once to count them for the length prefix, once to
+/// encode them — so no row is copied on the way to the frame.
+pub(crate) struct ShardFrame<'a, R, T, O, L> {
+    pub wf: u32,
+    pub name: &'a str,
+    pub total: u64,
+    pub cursor: u64,
+    /// Returned tasklets, ascending.
+    pub returned: R,
+    pub done: u64,
+    pub dead: u64,
+    /// `(id, tasklets, state, attempts)` of each task row.
+    pub tasks: T,
+    /// `(task, bytes, done_seq)` of each output row.
+    pub outputs: O,
+    /// `(seq, letter)` of each of the shard's ledger entries.
+    pub dead_letters: L,
+}
+
+/// Append a `ShardSnapshot` record — the only encoder of that frame kind.
+pub(crate) fn put_shard_snapshot<'a, R, T, O, L>(buf: &mut Vec<u8>, s: ShardFrame<'a, R, T, O, L>)
+where
+    R: ExactSizeIterator<Item = u64>,
+    T: Iterator<Item = (TaskId, &'a [u64], TaskState, u32)> + Clone,
+    O: Iterator<Item = (TaskId, u64, u64)> + Clone,
+    L: Iterator<Item = (u64, &'a DeadLetter)> + Clone,
+{
+    buf.push(tag::SHARD_SNAPSHOT);
     put_u32(buf, s.wf);
-    put_str(buf, &s.name);
+    put_str(buf, s.name);
     put_u64(buf, s.total);
     put_u64(buf, s.cursor);
-    put_tasklets(buf, &s.returned);
+    put_tasklets(buf, s.returned);
     put_u64(buf, s.done);
     put_u64(buf, s.dead);
-    put_u64(buf, s.tasks.len() as u64);
-    for t in &s.tasks {
-        put_task(buf, t.id);
-        put_tasklets(buf, &t.tasklets);
-        put_state(buf, t.state);
-        put_u32(buf, t.attempts);
+    put_u64(buf, s.tasks.clone().count() as u64);
+    for (id, tasklets, state, attempts) in s.tasks {
+        put_task(buf, id);
+        put_tasklets(buf, tasklets.iter().copied());
+        put_state(buf, state);
+        put_u32(buf, attempts);
     }
-    put_u64(buf, s.outputs.len() as u64);
-    for o in &s.outputs {
-        put_task(buf, o.task);
-        put_u64(buf, o.bytes);
-        put_u64(buf, o.done_seq);
+    put_u64(buf, s.outputs.clone().count() as u64);
+    for (task, bytes, done_seq) in s.outputs {
+        put_task(buf, task);
+        put_u64(buf, bytes);
+        put_u64(buf, done_seq);
     }
-    put_u64(buf, s.dead_letters.len() as u64);
-    for (seq, l) in &s.dead_letters {
-        put_u64(buf, *seq);
+    put_ledger(buf, s.dead_letters);
+}
+
+/// `(seq, letter)` ledger entries, count first.
+fn put_ledger<'a>(buf: &mut Vec<u8>, letters: impl Iterator<Item = (u64, &'a DeadLetter)> + Clone) {
+    put_u64(buf, letters.clone().count() as u64);
+    for (seq, l) in letters {
+        put_u64(buf, seq);
         put_letter(buf, l);
     }
 }
@@ -503,32 +558,60 @@ fn get_shard_snap(r: &mut Reader<'_>) -> io::Result<ShardSnap> {
     })
 }
 
-fn put_master_snap(buf: &mut Vec<u8>, m: &MasterSnap) {
+/// The `master.wal` snapshot frame, borrowed in encoding order — the
+/// master-slice counterpart of [`ShardFrame`].
+pub(crate) struct MasterFrame<'a, F, G, M, W, L> {
+    /// `(name, bytes)` of each merged file, in name order.
+    pub merged_files: F,
+    /// `(merge id, inputs)` of each open merge group.
+    pub merge_groups: G,
+    /// `(producer, index into merged_files)` of each merged output.
+    pub merged_outputs: M,
+    /// Producer ids of outputs withdrawn with a dead-lettered merge.
+    pub withdrawn_outputs: W,
+    pub next_merge: u64,
+    /// `(seq, letter)` of each master-side ledger entry.
+    pub dead_letters: L,
+    pub accounting: &'a Accounting,
+    pub tasks_failed: u64,
+    pub evictions: u64,
+    pub merges_completed: u64,
+}
+
+/// Append a `MasterSnapshot` record — the only encoder of that frame
+/// kind.
+pub(crate) fn put_master_snapshot<'a, F, G, M, W, L>(
+    buf: &mut Vec<u8>,
+    m: MasterFrame<'a, F, G, M, W, L>,
+) where
+    F: ExactSizeIterator<Item = (&'a str, u64)>,
+    G: ExactSizeIterator<Item = (TaskId, &'a [(TaskId, u64)])>,
+    M: ExactSizeIterator<Item = (TaskId, u32)>,
+    W: ExactSizeIterator<Item = u64>,
+    L: Iterator<Item = (u64, &'a DeadLetter)> + Clone,
+{
+    buf.push(tag::MASTER_SNAPSHOT);
     put_u64(buf, m.merged_files.len() as u64);
-    for (name, bytes) in &m.merged_files {
+    for (name, bytes) in m.merged_files {
         put_str(buf, name);
-        put_u64(buf, *bytes);
+        put_u64(buf, bytes);
     }
     put_u64(buf, m.merge_groups.len() as u64);
-    for (id, inputs) in &m.merge_groups {
+    for (id, inputs) in m.merge_groups {
         put_u64(buf, id.0);
         put_inputs(buf, inputs);
     }
     // A merged output names its file by index into `merged_files`, not
     // by repeating the string.
     put_u64(buf, m.merged_outputs.len() as u64);
-    for (task, file_ix) in &m.merged_outputs {
-        put_task(buf, *task);
-        put_u32(buf, *file_ix);
+    for (task, file_ix) in m.merged_outputs {
+        put_task(buf, task);
+        put_u32(buf, file_ix);
     }
-    put_tasklets(buf, &m.withdrawn_outputs);
+    put_tasklets(buf, m.withdrawn_outputs);
     put_u64(buf, m.next_merge);
-    put_u64(buf, m.dead_letters.len() as u64);
-    for (seq, l) in &m.dead_letters {
-        put_u64(buf, *seq);
-        put_letter(buf, l);
-    }
-    put_accounting(buf, &m.accounting);
+    put_ledger(buf, m.dead_letters);
+    put_accounting(buf, m.accounting);
     put_u64(buf, m.tasks_failed);
     put_u64(buf, m.evictions);
     put_u64(buf, m.merges_completed);
@@ -591,7 +674,7 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
             buf.push(tag::TASK_CREATED);
             put_task(buf, *id);
             put_u32(buf, *wf);
-            put_tasklets(buf, tasklets);
+            put_tasklets(buf, tasklets.iter().copied());
         }
         Record::TaskRunning { id } => {
             buf.push(tag::TASK_RUNNING);
@@ -650,14 +733,39 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
             put_letter(buf, letter);
             put_u64(buf, *seq);
         }
-        Record::ShardSnapshot { state } => {
-            buf.push(tag::SHARD_SNAPSHOT);
-            put_shard_snap(buf, state);
-        }
-        Record::MasterSnapshot { state } => {
-            buf.push(tag::MASTER_SNAPSHOT);
-            put_master_snap(buf, state);
-        }
+        Record::ShardSnapshot { state: s } => put_shard_snapshot(
+            buf,
+            ShardFrame {
+                wf: s.wf,
+                name: &s.name,
+                total: s.total,
+                cursor: s.cursor,
+                returned: s.returned.iter().copied(),
+                done: s.done,
+                dead: s.dead,
+                tasks: s
+                    .tasks
+                    .iter()
+                    .map(|t| (t.id, t.tasklets.as_slice(), t.state, t.attempts)),
+                outputs: s.outputs.iter().map(|o| (o.task, o.bytes, o.done_seq)),
+                dead_letters: s.dead_letters.iter().map(|(seq, l)| (*seq, l)),
+            },
+        ),
+        Record::MasterSnapshot { state: m } => put_master_snapshot(
+            buf,
+            MasterFrame {
+                merged_files: m.merged_files.iter().map(|(n, b)| (n.as_str(), *b)),
+                merge_groups: m.merge_groups.iter().map(|(id, i)| (*id, i.as_slice())),
+                merged_outputs: m.merged_outputs.iter().copied(),
+                withdrawn_outputs: m.withdrawn_outputs.iter().copied(),
+                next_merge: m.next_merge,
+                dead_letters: m.dead_letters.iter().map(|(seq, l)| (*seq, l)),
+                accounting: &m.accounting,
+                tasks_failed: m.tasks_failed,
+                evictions: m.evictions,
+                merges_completed: m.merges_completed,
+            },
+        ),
     }
 }
 

@@ -85,6 +85,20 @@ fn header_bytes(tag: u32) -> [u8; HEADER_LEN] {
     h
 }
 
+/// Frame header for `payload`: `u32` LE length, then `u32` LE CRC-32.
+fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let mut h = [0u8; FRAME_HEADER_LEN];
+    h[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    h[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    h
+}
+
+/// Room at the front of a commit buffer for the frame header and the
+/// batch's record-count varint. Both are filled in place at commit,
+/// right-aligned against the records, so a batch goes to disk as one
+/// write of one buffer with no copy.
+const COMMIT_PREFIX: usize = FRAME_HEADER_LEN + codec::MAX_VARINT_LEN;
+
 fn read_u32_le(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
@@ -221,11 +235,35 @@ fn decode_batch(payload: &[u8]) -> io::Result<Vec<Record>> {
 
 struct ShardFile {
     file: File,
-    /// Encoded records buffered since the last commit.
+    /// The commit buffer: [`COMMIT_PREFIX`] reserved bytes, then the
+    /// encoded records buffered since the last commit. Reused by every
+    /// commit.
     buf: Vec<u8>,
     buf_records: u64,
     /// Records appended since the last snapshot frame, buffered or not.
     tail_records: u64,
+    /// Payload bytes of the file's last snapshot frame, which sizes the
+    /// next one. A file attached after a restart starts from its intact
+    /// length, an upper bound on the snapshot it holds.
+    snapshot_len: usize,
+}
+
+impl ShardFile {
+    fn new(file: File, tail_records: u64, snapshot_len: usize) -> ShardFile {
+        ShardFile {
+            file,
+            buf: vec![0; COMMIT_PREFIX],
+            buf_records: 0,
+            tail_records,
+            snapshot_len,
+        }
+    }
+
+    /// Drop the buffered records, keeping the buffer and its prefix.
+    fn clear(&mut self) {
+        self.buf.truncate(COMMIT_PREFIX);
+        self.buf_records = 0;
+    }
 }
 
 /// The open write side of a v3 journal directory.
@@ -243,6 +281,7 @@ impl std::fmt::Debug for ShardFile {
         f.debug_struct("ShardFile")
             .field("buf_records", &self.buf_records)
             .field("tail_records", &self.tail_records)
+            .field("snapshot_len", &self.snapshot_len)
             .finish()
     }
 }
@@ -290,12 +329,7 @@ impl Journal {
             let file = OpenOptions::new().append(true).open(&path)?;
             files.insert(
                 scan.tag,
-                ShardFile {
-                    file,
-                    buf: Vec::new(),
-                    buf_records: 0,
-                    tail_records: scan.tail_records,
-                },
+                ShardFile::new(file, scan.tail_records, scan.valid_len as usize),
             );
         }
         let mut j = Journal {
@@ -317,15 +351,7 @@ impl Journal {
         f.write_all(&header_bytes(tag))?;
         drop(f);
         let file = OpenOptions::new().append(true).open(&path)?;
-        self.files.insert(
-            tag,
-            ShardFile {
-                file,
-                buf: Vec::new(),
-                buf_records: 0,
-                tail_records: 0,
-            },
-        );
+        self.files.insert(tag, ShardFile::new(file, 0, 0));
         Ok(())
     }
 
@@ -349,23 +375,22 @@ impl Journal {
 
     /// Flush every buffered batch — shards in ascending order, master
     /// last (the causal order; see the module docs). One batch is one
-    /// frame. This is the durability boundary: records are recoverable
-    /// after `commit` returns, and lost as a group before it.
+    /// frame, assembled in place in the file's commit buffer. This is the
+    /// durability boundary: records are recoverable after `commit`
+    /// returns, and lost as a group before it.
     pub fn commit(&mut self) -> io::Result<()> {
         for sf in self.files.values_mut() {
-            if sf.buf.is_empty() {
+            if sf.buf_records == 0 {
                 continue;
             }
-            let mut payload = Vec::with_capacity(sf.buf.len() + 2);
-            codec::put_u64(&mut payload, sf.buf_records);
-            payload.extend_from_slice(&sf.buf);
-            let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            sf.file.write_all(&frame)?;
-            sf.buf.clear();
-            sf.buf_records = 0;
+            let (count, n) = codec::varint(sf.buf_records);
+            let frame_at = COMMIT_PREFIX - n - FRAME_HEADER_LEN;
+            let payload_at = frame_at + FRAME_HEADER_LEN;
+            sf.buf[payload_at..COMMIT_PREFIX].copy_from_slice(&count[..n]);
+            let header = frame_header(&sf.buf[payload_at..]);
+            sf.buf[frame_at..payload_at].copy_from_slice(&header);
+            sf.file.write_all(&sf.buf[frame_at..])?;
+            sf.clear();
         }
         self.pending_records = 0;
         self.pending_bytes = 0;
@@ -378,35 +403,43 @@ impl Journal {
     pub fn abandon(&mut self) {
         for sf in self.files.values_mut() {
             sf.tail_records -= sf.buf_records;
-            sf.buf.clear();
-            sf.buf_records = 0;
+            sf.clear();
         }
         self.pending_records = 0;
         self.pending_bytes = 0;
     }
 
+    /// An empty snapshot payload for `tag`: the batch's record count
+    /// (one), with room for the snapshot record the caller appends. Sized
+    /// from the file's last snapshot plus an eighth, so a growing
+    /// snapshot is encoded without regrowing the buffer.
+    pub fn snapshot_payload(&self, tag: u32) -> Vec<u8> {
+        let last = self.files.get(&tag).map_or(0, |sf| sf.snapshot_len);
+        let mut payload = Vec::with_capacity(1 + last + last / 8);
+        codec::put_u64(&mut payload, 1);
+        payload
+    }
+
     /// Rewrite one shard file as header + a single snapshot frame (tmp
-    /// file, fsync, atomic rename). Commits all pending buffers first:
-    /// a snapshot is a durability boundary, and the master snapshot's
-    /// state may depend on shard records that were still buffered.
-    pub fn compact(&mut self, tag: u32, snapshot: &Record) -> io::Result<()> {
+    /// file, fsync, atomic rename). `payload` is a
+    /// [`Journal::snapshot_payload`] with one snapshot record appended.
+    /// Commits all pending buffers first: a snapshot is a durability
+    /// boundary, and the master snapshot's state may depend on shard
+    /// records that were still buffered.
+    pub fn compact(&mut self, tag: u32, payload: &[u8]) -> io::Result<()> {
         self.commit()?;
         if !self.files.contains_key(&tag) {
             self.create_file(tag)?;
         }
-        let mut payload = Vec::new();
-        codec::put_u64(&mut payload, 1);
-        codec::encode_record(&mut payload, snapshot);
-        let mut buf = Vec::with_capacity(HEADER_LEN + FRAME_HEADER_LEN + payload.len());
-        buf.extend_from_slice(&header_bytes(tag));
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        let mut head = [0u8; HEADER_LEN + FRAME_HEADER_LEN];
+        head[..HEADER_LEN].copy_from_slice(&header_bytes(tag));
+        head[HEADER_LEN..].copy_from_slice(&frame_header(payload));
         let path = self.dir.join(file_name(tag));
         let tmp = self.dir.join(format!("{}.waltmp", file_name(tag)));
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
+            f.write_all(&head)?;
+            f.write_all(payload)?;
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
@@ -415,6 +448,7 @@ impl Journal {
         let sf = self.files.get_mut(&tag).expect("shard file exists");
         sf.file = file;
         sf.tail_records = 0;
+        sf.snapshot_len = payload.len();
         Ok(())
     }
 

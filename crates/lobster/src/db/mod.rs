@@ -40,6 +40,7 @@ pub use journal::journal_bytes;
 use crate::config::JournalPolicy;
 use crate::monitor::Accounting;
 use crate::wrapper::SegmentReport;
+use codec::{MasterFrame, ShardFrame};
 use journal::{GroupCommit, Journal, ScannedFile, MASTER_TAG};
 use serde::{Deserialize, Serialize};
 use simkit::time::SimDuration;
@@ -65,9 +66,12 @@ const MAX_RECORD_LEN: u32 = 256 * 1024 * 1024;
 /// analysis task ids (which count up from zero).
 pub const MERGE_ID_BASE: u64 = 1_000_000_000;
 
-/// CRC-32 (IEEE 802.3, polynomial `0xEDB8_8320`) lookup table.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables for CRC-32 (IEEE 802.3, reflected polynomial
+/// `0xEDB8_8320`). `CRC32_TABLES[0]` is the classic bytewise table;
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight table lookups fold in eight input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -80,16 +84,40 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
+/// CRC-32 of `data`: eight bytes per step, then bytewise for the tail.
 fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -487,25 +515,22 @@ impl LobsterDb {
     }
 
     /// Rewrite one shard file as header + one snapshot frame (tmp file,
-    /// fsync, atomic rename). Pending group-commit buffers are flushed
-    /// first — a snapshot is a durability boundary.
+    /// fsync, atomic rename). The frame is encoded straight from the
+    /// slabs into its payload buffer. Pending group-commit buffers are
+    /// flushed first — a snapshot is a durability boundary.
     fn compact_file(&mut self, tag: u32) -> io::Result<()> {
-        if self.journal.is_none() {
+        let Some(j) = self.journal.as_ref() else {
             return Ok(());
-        }
-        let rec = if tag == MASTER_TAG {
-            Record::MasterSnapshot {
-                state: Box::new(self.master_snap()),
-            }
-        } else {
-            Record::ShardSnapshot {
-                state: Box::new(self.shard_snap(tag)),
-            }
         };
-        match self.journal.as_mut() {
-            Some(j) => j.compact(tag, &rec),
-            None => Ok(()),
+        let mut payload = j.snapshot_payload(tag);
+        if tag == MASTER_TAG {
+            self.put_master_snapshot(&mut payload);
+        } else {
+            self.put_shard_snapshot(tag, &mut payload);
         }
+        self.journal
+            .as_mut()
+            .map_or(Ok(()), |j| j.compact(tag, &payload))
     }
 
     /// Commit all buffered journal records to disk — the explicit
@@ -763,91 +788,85 @@ impl LobsterDb {
         }
     }
 
-    /// The shard slice of workflow `wf` as a snapshot frame.
-    fn shard_snap(&self, wf: u32) -> ShardSnap {
+    /// Append workflow `wf`'s shard snapshot record to `buf`, read off
+    /// the workflow entry, the `tasks`/`outputs` slabs and the ledger.
+    fn put_shard_snapshot(&self, wf: u32, buf: &mut Vec<u8>) {
         let entry = &self.workflows[wf as usize];
-        ShardSnap {
-            wf,
-            name: entry.name.clone(),
-            total: entry.state.total_tasklets,
-            cursor: entry.state.cursor,
-            returned: entry.state.returned.iter().copied().collect(),
-            done: entry.state.done,
-            dead: entry.state.dead,
-            tasks: self
-                .tasks
-                .iter()
-                .enumerate()
-                .filter_map(|(ix, row)| {
-                    row.as_ref().filter(|t| t.wf == wf).map(|t| TaskSnap {
-                        id: TaskId(ix as u64),
-                        tasklets: t.tasklets.clone(),
-                        state: t.state,
-                        attempts: t.attempts,
+        codec::put_shard_snapshot(
+            buf,
+            ShardFrame {
+                wf,
+                name: &entry.name,
+                total: entry.state.total_tasklets,
+                cursor: entry.state.cursor,
+                returned: entry.state.returned.iter().copied(),
+                done: entry.state.done,
+                dead: entry.state.dead,
+                tasks: self.tasks.iter().enumerate().filter_map(move |(ix, row)| {
+                    row.as_ref().filter(|t| t.wf == wf).map(|t| {
+                        (
+                            TaskId(ix as u64),
+                            t.tasklets.as_slice(),
+                            t.state,
+                            t.attempts,
+                        )
                     })
-                })
-                .collect(),
-            outputs: self
-                .outputs
-                .iter()
-                .flatten()
-                .filter(|o| self.task_row(o.task).is_some_and(|t| t.wf == wf))
-                .map(|o| OutputSnap {
-                    task: o.task,
-                    bytes: o.bytes,
-                    done_seq: o.done_seq,
-                })
-                .collect(),
-            dead_letters: self
-                .dead_letters
-                .iter()
-                .zip(&self.dead_letter_seqs)
-                .filter(|(l, _)| self.letter_shard(l) == wf)
-                .map(|(l, seq)| (*seq, *l))
-                .collect(),
-        }
+                }),
+                outputs: self
+                    .outputs
+                    .iter()
+                    .flatten()
+                    .filter(move |o| self.task_row(o.task).is_some_and(|t| t.wf == wf))
+                    .map(|o| (o.task, o.bytes, o.done_seq)),
+                dead_letters: self.ledger_of(wf),
+            },
+        );
     }
 
-    /// The master slice as a snapshot frame.
-    fn master_snap(&self) -> MasterSnap {
-        // Merged outputs name their file by index into the (sorted)
-        // merged-file list instead of repeating the string.
-        let file_ix: BTreeMap<&String, u32> = self
-            .merged_files
-            .keys()
-            .enumerate()
-            .map(|(i, k)| (k, i as u32))
-            .collect();
-        MasterSnap {
-            merged_files: self
-                .merged_files
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            merge_groups: self
-                .merge_groups
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            merged_outputs: self
-                .merged_outputs
-                .iter()
-                .map(|(task, name)| (*task, file_ix[name]))
-                .collect(),
-            withdrawn_outputs: self.withdrawn_outputs.iter().map(|t| t.0).collect(),
-            next_merge: self.next_merge,
-            dead_letters: self
-                .dead_letters
-                .iter()
-                .zip(&self.dead_letter_seqs)
-                .filter(|(l, _)| self.letter_shard(l) == MASTER_TAG)
-                .map(|(l, seq)| (*seq, *l))
-                .collect(),
-            accounting: self.accounting.clone(),
-            tasks_failed: self.counters.tasks_failed,
-            evictions: self.counters.evictions,
-            merges_completed: self.counters.merges_completed,
-        }
+    /// Append the master snapshot record to `buf`, read off the merge
+    /// maps, the ledger, the accounting and the counters.
+    fn put_master_snapshot(&self, buf: &mut Vec<u8>) {
+        // Merged outputs name their file by its rank in the (sorted)
+        // merged-file list instead of repeating the string. Outputs merged
+        // together mostly sit next to each other in task order, so the
+        // previous output's rank is tried before a search.
+        let names: Vec<&str> = self.merged_files.keys().map(String::as_str).collect();
+        let mut last: Option<(&str, u32)> = None;
+        codec::put_master_snapshot(
+            buf,
+            MasterFrame {
+                merged_files: self.merged_files.iter().map(|(k, v)| (k.as_str(), *v)),
+                merge_groups: self.merge_groups.iter().map(|(k, v)| (*k, v.as_slice())),
+                merged_outputs: self.merged_outputs.iter().map(move |(task, name)| {
+                    let ix = match last {
+                        Some((prev, ix)) if prev == name => ix,
+                        _ => {
+                            let ix = names.partition_point(|n| *n < name.as_str()) as u32;
+                            last = Some((name, ix));
+                            ix
+                        }
+                    };
+                    (*task, ix)
+                }),
+                withdrawn_outputs: self.withdrawn_outputs.iter().map(|t| t.0),
+                next_merge: self.next_merge,
+                dead_letters: self.ledger_of(MASTER_TAG),
+                accounting: &self.accounting,
+                tasks_failed: self.counters.tasks_failed,
+                evictions: self.counters.evictions,
+                merges_completed: self.counters.merges_completed,
+            },
+        );
+    }
+
+    /// The ledger entries that snapshot into `tag`'s file, as
+    /// `(seq, letter)` in ledger order.
+    fn ledger_of(&self, tag: u32) -> impl Iterator<Item = (u64, &DeadLetter)> + Clone + '_ {
+        self.dead_letters
+            .iter()
+            .zip(&self.dead_letter_seqs)
+            .filter(move |(l, _)| self.letter_shard(l) == tag)
+            .map(|(l, seq)| (*seq, l))
     }
 
     /// Install one shard snapshot — additive: shard files replay in
@@ -2420,5 +2439,366 @@ mod tests {
         let db = LobsterDb::recover(&path).unwrap();
         assert_eq!(db.counters().tasks_completed, 12);
         cleanup(&path);
+    }
+
+    // ---- snapshot oracles -----------------------------------------------
+
+    /// The shard slice of workflow `wf` as a decoded snapshot, built row
+    /// by row on its own: the oracle for [`LobsterDb::put_shard_snapshot`].
+    fn shard_snap(db: &LobsterDb, wf: u32) -> ShardSnap {
+        let entry = &db.workflows[wf as usize];
+        ShardSnap {
+            wf,
+            name: entry.name.clone(),
+            total: entry.state.total_tasklets,
+            cursor: entry.state.cursor,
+            returned: entry.state.returned.iter().copied().collect(),
+            done: entry.state.done,
+            dead: entry.state.dead,
+            tasks: db
+                .tasks
+                .iter()
+                .enumerate()
+                .filter_map(|(ix, row)| {
+                    row.as_ref().filter(|t| t.wf == wf).map(|t| TaskSnap {
+                        id: TaskId(ix as u64),
+                        tasklets: t.tasklets.clone(),
+                        state: t.state,
+                        attempts: t.attempts,
+                    })
+                })
+                .collect(),
+            outputs: db
+                .outputs
+                .iter()
+                .flatten()
+                .filter(|o| db.task_row(o.task).is_some_and(|t| t.wf == wf))
+                .map(|o| OutputSnap {
+                    task: o.task,
+                    bytes: o.bytes,
+                    done_seq: o.done_seq,
+                })
+                .collect(),
+            dead_letters: db
+                .dead_letters
+                .iter()
+                .zip(&db.dead_letter_seqs)
+                .filter(|(l, _)| db.letter_shard(l) == wf)
+                .map(|(l, seq)| (*seq, *l))
+                .collect(),
+        }
+    }
+
+    /// The master slice as a decoded snapshot: the oracle for
+    /// [`LobsterDb::put_master_snapshot`].
+    fn master_snap(db: &LobsterDb) -> MasterSnap {
+        let file_ix: BTreeMap<&String, u32> = db
+            .merged_files
+            .keys()
+            .enumerate()
+            .map(|(i, k)| (k, i as u32))
+            .collect();
+        MasterSnap {
+            merged_files: db
+                .merged_files
+                .iter()
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
+            merge_groups: db
+                .merge_groups
+                .iter()
+                .map(|(k, v)| (*k, v.clone()))
+                .collect(),
+            merged_outputs: db
+                .merged_outputs
+                .iter()
+                .map(|(task, name)| (*task, file_ix[name]))
+                .collect(),
+            withdrawn_outputs: db.withdrawn_outputs.iter().map(|t| t.0).collect(),
+            next_merge: db.next_merge,
+            dead_letters: db
+                .dead_letters
+                .iter()
+                .zip(&db.dead_letter_seqs)
+                .filter(|(l, _)| db.letter_shard(l) == MASTER_TAG)
+                .map(|(l, seq)| (*seq, *l))
+                .collect(),
+            accounting: db.accounting.clone(),
+            tasks_failed: db.counters.tasks_failed,
+            evictions: db.counters.evictions,
+            merges_completed: db.counters.merges_completed,
+        }
+    }
+
+    /// The live encoder's bytes for `tag`'s snapshot record.
+    fn snapshot_bytes(db: &LobsterDb, tag: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        if tag == MASTER_TAG {
+            db.put_master_snapshot(&mut buf);
+        } else {
+            db.put_shard_snapshot(tag, &mut buf);
+        }
+        buf
+    }
+
+    /// The oracle's bytes for `tag`'s snapshot record.
+    fn oracle_bytes(db: &LobsterDb, tag: u32) -> Vec<u8> {
+        let rec = if tag == MASTER_TAG {
+            Record::MasterSnapshot {
+                state: Box::new(master_snap(db)),
+            }
+        } else {
+            Record::ShardSnapshot {
+                state: Box::new(shard_snap(db, tag)),
+            }
+        };
+        let mut buf = Vec::new();
+        codec::encode_record(&mut buf, &rec);
+        buf
+    }
+
+    fn snapshot_tags(db: &LobsterDb) -> Vec<u32> {
+        let mut tags: Vec<u32> = (0..db.workflow_count() as u32).collect();
+        tags.push(MASTER_TAG);
+        tags
+    }
+
+    /// Same state, field by field: every snapshot frame plus the indexes
+    /// and counters that snapshots derive rather than carry.
+    fn assert_same_state(live: &LobsterDb, other: &LobsterDb) {
+        assert_eq!(snapshot_tags(live), snapshot_tags(other));
+        for tag in snapshot_tags(live) {
+            assert_eq!(
+                snapshot_bytes(other, tag),
+                snapshot_bytes(live, tag),
+                "tag {tag:#x}"
+            );
+        }
+        assert_eq!(other.done_order, live.done_order);
+        assert_eq!(other.done_seqs, live.done_seqs);
+        assert_eq!(other.grouped, live.grouped);
+        assert_eq!(other.dead_letters, live.dead_letters);
+        assert_eq!(other.dead_letter_seqs, live.dead_letter_seqs);
+        assert_eq!(other.accounting, live.accounting);
+        assert_eq!(other.next_task, live.next_task);
+        assert_eq!(other.next_merge, live.next_merge);
+        assert_eq!(other.n_tasks, live.n_tasks);
+        assert_eq!(
+            other.counters().tasks_completed,
+            live.counters().tasks_completed
+        );
+        assert_eq!(other.done_order_unmerged(), live.done_order_unmerged());
+        assert_eq!(other.unmerged_outputs(), live.unmerged_outputs());
+        assert_eq!(other.open_merge_groups(), live.open_merge_groups());
+        assert_eq!(other.merged_files(), live.merged_files());
+        for wf in ["alpha", "beta"] {
+            assert_eq!(other.unassigned_tasklets(wf), live.unassigned_tasklets(wf));
+        }
+    }
+
+    /// A whole-file image as the writer lays it out: header, then one
+    /// frame per batch (`u32` LE length, CRC-32 from the bytewise
+    /// reference, record-count varint, records).
+    fn expected_file(tag: u32, batches: &[&[Record]]) -> Vec<u8> {
+        let mut file = v3_header(tag).to_vec();
+        for batch in batches {
+            let mut payload = Vec::new();
+            codec::put_u64(&mut payload, batch.len() as u64);
+            for rec in *batch {
+                codec::encode_record(&mut payload, rec);
+            }
+            file.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            file.extend_from_slice(&crc32_bytewise(&payload).to_le_bytes());
+            file.extend_from_slice(&payload);
+        }
+        file
+    }
+
+    /// Two workflows with every task state, outputs, open/merged/withdrawn
+    /// merge groups, ledger entries on both sides and non-zero accounting.
+    fn populated_db(path: &Path) -> LobsterDb {
+        let mut db = LobsterDb::open(path).unwrap();
+        db.register_workflow("alpha", 40);
+        db.register_workflow("beta", 40);
+        let run_done = |db: &mut LobsterDb, wf: &str, bytes: u64| {
+            let t = db.create_task(wf, 3).unwrap();
+            db.mark_running(t).unwrap();
+            db.record_attempt(&report(t.0, true));
+            db.mark_done(t, bytes).unwrap();
+            t
+        };
+        let a0 = run_done(&mut db, "alpha", 100);
+        let b0 = run_done(&mut db, "beta", 200);
+        let a1 = run_done(&mut db, "alpha", 300);
+        let b1 = run_done(&mut db, "beta", 400);
+        let a2 = run_done(&mut db, "alpha", 500);
+        let b2 = run_done(&mut db, "beta", 600);
+        let _ready = db.create_task("alpha", 2).unwrap();
+        let running = db.create_task("beta", 2).unwrap();
+        db.mark_running(running).unwrap();
+        db.mark_running(running).unwrap();
+        for wf in ["alpha", "beta"] {
+            let t = db.create_task(wf, 2).unwrap();
+            db.mark_running(t).unwrap();
+            db.record_attempt(&report(t.0, false));
+            db.record_dead_letter(letter(t.0, Category::Analysis, 2));
+        }
+        let lost = db.create_task("alpha", 4).unwrap();
+        db.mark_running(lost).unwrap();
+        db.record_attempt(&SegmentReport {
+            evicted: true,
+            ..report(lost.0, false)
+        });
+        db.mark_lost(lost).unwrap();
+        db.record_backoff(SimDuration::from_mins(7));
+        let merged = db.create_merge_group(&[(a0, 100), (b0, 200)]).unwrap();
+        db.mark_merged(Some(merged), &[a0, b0], "m-zz.root", 300)
+            .unwrap();
+        db.mark_merged(None, &[a1], "m-aa.root", 300).unwrap();
+        db.create_merge_group(&[(a2, 500), (b1, 400)]).unwrap();
+        let dead = db.create_merge_group(&[(b2, 600)]).unwrap();
+        db.record_dead_letter(letter(dead.0, Category::Merge, 1));
+        db
+    }
+
+    /// The slab-walking encoders reproduce the oracle snapshots byte for
+    /// byte, and decoding + installing their frames rebuilds the live
+    /// state — in memory and through a compacted journal on disk.
+    #[test]
+    fn snapshot_encoders_match_the_oracles() {
+        let path = tmp_path("oracle");
+        let mut live = populated_db(&path);
+        let states: BTreeSet<String> = live
+            .tasks
+            .iter()
+            .flatten()
+            .map(|t| format!("{:?}", t.state))
+            .collect();
+        assert_eq!(states.len(), 5, "every TaskState present: {states:?}");
+        assert!(!live.grouped.is_empty() && !live.withdrawn_outputs.is_empty());
+        assert_eq!(live.merged_outputs.len(), 3);
+        for tag in snapshot_tags(&live) {
+            assert!(live.ledger_of(tag).count() > 0, "ledger on {tag:#x}");
+        }
+
+        let mut rebuilt = LobsterDb::in_memory();
+        for tag in snapshot_tags(&live) {
+            let bytes = snapshot_bytes(&live, tag);
+            assert_eq!(bytes, oracle_bytes(&live, tag), "tag {tag:#x}");
+            let mut r = codec::Reader::new(&bytes);
+            let rec = codec::decode_record(&mut r).unwrap();
+            assert!(r.is_empty());
+            rebuilt.apply(rec);
+        }
+        assert_same_state(&live, &rebuilt);
+
+        // Compaction writes exactly one such frame per file.
+        live.compact().unwrap();
+        for tag in snapshot_tags(&live) {
+            let bytes = snapshot_bytes(&live, tag);
+            let rec = codec::decode_record(&mut codec::Reader::new(&bytes)).unwrap();
+            let file = if tag == MASTER_TAG {
+                master_file(&path)
+            } else {
+                shard_file(&path, tag)
+            };
+            assert_eq!(
+                std::fs::read(file).unwrap(),
+                expected_file(tag, &[&[rec]]),
+                "tag {tag:#x}"
+            );
+        }
+        assert_same_state(&live, &LobsterDb::recover(&path).unwrap());
+        drop(live);
+        cleanup(&path);
+    }
+
+    /// Bit-at-a-time CRC-32: the reference the slice-by-8 tables must
+    /// reproduce.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic filler bytes (64-bit LCG, high byte).
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_slice_by_8_matches_bytewise_reference() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let buf = seeded_bytes(7, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+        let big = seeded_bytes(0x5EED, 1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    /// Commit frames are byte-identical to a frame built record by record
+    /// into a fresh payload, for batch counts on both sides of the one-byte
+    /// varint boundary, across commits that reuse the buffer.
+    #[test]
+    fn commit_frames_are_byte_identical() {
+        for batch in [1usize, 3, 127, 128, 300] {
+            let path = tmp_path(&format!("frames-{batch}"));
+            let recs: Vec<Record> = (0..2 * batch as u64 + 1)
+                .map(|i| match i % 3 {
+                    0 => Record::TaskRunning { id: TaskId(i) },
+                    1 => Record::TaskDone {
+                        id: TaskId(i),
+                        output_bytes: i * 1_000_003,
+                        done_seq: i,
+                    },
+                    _ => Record::TaskCreated {
+                        id: TaskId(i),
+                        wf: 0,
+                        tasklets: (i..i + 5).collect(),
+                    },
+                })
+                .collect();
+            let group = GroupCommit {
+                records: batch as u64,
+                bytes: u64::MAX,
+            };
+            let mut j = Journal::create(&path, group).unwrap();
+            for rec in &recs {
+                if j.append(0, rec).unwrap() {
+                    j.commit().unwrap();
+                }
+            }
+            j.commit().unwrap();
+            let batches: Vec<&[Record]> = recs.chunks(batch).collect();
+            assert_eq!(
+                std::fs::read(shard_file(&path, 0)).unwrap(),
+                expected_file(0, &batches),
+                "batch {batch}"
+            );
+            drop(j);
+            cleanup(&path);
+        }
     }
 }
