@@ -18,7 +18,7 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveSizer};
 use crate::config::{LobsterConfig, WorkloadKind};
 use crate::db::LobsterDb;
 use crate::fault::{FaultPlan, FaultTarget};
-use crate::merge::{MergeMode, MergePlanner};
+use crate::merge::{self, MergeGroup, MergeMode, MergePlanner, Progress};
 use crate::monitor::{Accounting, Advisor, AdvisorConfig, SegmentHistograms, Timeline};
 use crate::workflow::Workflow;
 use crate::wrapper::{ReportBuilder, Segment, SegmentReport};
@@ -61,10 +61,6 @@ pub struct SimParams {
     pub wq_collect: SimDuration,
     /// Timeline bin width.
     pub timeline_bin: SimDuration,
-    /// Merge-task CPU per GB of merged data.
-    pub merge_cpu_per_gb: SimDuration,
-    /// Hadoop merge: parallel reducers.
-    pub hadoop_reducers: usize,
     /// Hadoop merge: per-reducer throughput (bytes/second).
     pub hadoop_rate: f64,
     /// Enable the §8 adaptive task sizing controller.
@@ -103,8 +99,6 @@ impl Default for SimParams {
             foreman_capacity: 50,
             wq_collect: SimDuration::from_secs(10),
             timeline_bin: SimDuration::from_mins(30),
-            merge_cpu_per_gb: SimDuration::from_mins(1),
-            hadoop_reducers: 20,
             hadoop_rate: 100e6,
             adaptive: false,
             adaptive_cfg: AdaptiveConfig::default(),
@@ -198,6 +192,55 @@ struct TaskInfo {
     attempt: u32,
     /// Armed segment watchdog: (sequence, guarded segment, deadline event).
     watchdog: Option<(u64, Segment, EventId)>,
+}
+
+impl TaskInfo {
+    /// A task that has not been dispatched yet, queued at `at`.
+    fn queued(
+        wf: usize,
+        category: Category,
+        bytes: (u64, u64),
+        cpu: SimDuration,
+        at: SimTime,
+    ) -> Self {
+        TaskInfo {
+            wf,
+            category,
+            input_bytes: bytes.0,
+            output_bytes: bytes.1,
+            cpu,
+            phase: Phase::Queued,
+            worker: None,
+            builder: None,
+            enqueued_at: at,
+            phase_started: at,
+            env_flow: None,
+            data_flow: None,
+            merge_inputs: None,
+            attempt: 0,
+            watchdog: None,
+        }
+    }
+
+    /// Cancel the armed segment watchdog, if any.
+    fn disarm(&mut self, ctx: &mut Ctx<Ev>) {
+        if let Some((_, _, ev)) = self.watchdog.take() {
+            ctx.cancel(ev);
+        }
+    }
+
+    /// Back in the queue after a failed attempt, re-enqueued at `at`. The
+    /// failure path has already taken the watchdog and aborted the flows.
+    fn requeued(mut self, at: SimTime) -> Self {
+        debug_assert!(
+            self.watchdog.is_none() && self.env_flow.is_none() && self.data_flow.is_none()
+        );
+        self.phase = Phase::Queued;
+        self.worker = None;
+        self.builder = None;
+        self.enqueued_at = at;
+        self
+    }
 }
 
 /// In-flight task ledger. Analysis ids are handed out densely from 0,
@@ -357,7 +400,7 @@ pub struct ClusterSim {
     /// eviction sorts the survivors so processing stays id-ordered).
     running_on: Vec<Vec<TaskId>>,
     /// Total analysis tasklets across all workflows, fixed at start-up
-    /// (the merge gate divides by it on every completion).
+    /// (the merge planner's gates read it on every completion).
     analysis_units: u64,
     foremen: Vec<Server>,
     squids: Vec<Squid>,
@@ -373,15 +416,10 @@ pub struct ClusterSim {
     chirp: ChirpServer,
     catalog: ReleaseCatalog,
     planner: MergePlanner,
-    /// Finished outputs not yet claimed by any merge group, in finish
-    /// order (incremental — avoids rescanning the DB per completion).
-    pending_outputs: VecDeque<(TaskId, u64)>,
-    pending_bytes: u64,
     /// Outputs not yet inside a *completed* merged file.
     unmerged_count: u64,
-    hadoop_groups: Vec<(Vec<(TaskId, u64)>, u64)>,
-    hadoop_started: bool,
-    sequential_planned: bool,
+    /// Groups handed to the Hadoop job, by [`Ev::HadoopGroupDone`] index.
+    hadoop_groups: Vec<MergeGroup>,
     // Monitoring. Accounting, run counters and the dead-letter ledger
     // live in the db (journaled, so they survive a master crash); only
     // the diagnostic time lines stay driver-side.
@@ -543,7 +581,7 @@ impl ClusterSim {
         let foremen: Vec<Server> = (0..cfg.infra.n_foremen.max(1) as usize)
             .map(|_| Server::new(params.foreman_capacity))
             .collect();
-        let planner = MergePlanner::new(cfg.merge_target_bytes);
+        let planner = MergePlanner::new(cfg.merge, cfg.merge_target_bytes);
         let timeline = Timeline::new(params.timeline_bin);
         let analysis_done = TimeSeries::new(params.timeline_bin);
         let merge_done = TimeSeries::new(params.timeline_bin);
@@ -588,12 +626,8 @@ impl ClusterSim {
             chirp,
             catalog,
             planner,
-            pending_outputs: VecDeque::new(),
-            pending_bytes: 0,
             unmerged_count: 0,
             hadoop_groups: Vec::new(),
-            hadoop_started: false,
-            sequential_planned: false,
             timeline,
             advisor: Advisor::new(),
             seg_hist: SegmentHistograms::new(),
@@ -655,34 +689,11 @@ impl ClusterSim {
         // Planned-but-incomplete merge groups are re-issued verbatim
         // (same id, same inputs) so merging stays exactly-once.
         for (id, inputs) in self.db.open_merge_groups() {
-            let bytes: u64 = inputs.iter().map(|i| i.1).sum();
-            let cpu = self.params.merge_cpu_per_gb.mul_f64(bytes as f64 / 1e9);
-            self.tasks.insert(
-                id,
-                TaskInfo {
-                    wf: 0,
-                    category: Category::Merge,
-                    input_bytes: bytes,
-                    output_bytes: bytes,
-                    cpu,
-                    phase: Phase::Queued,
-                    worker: None,
-                    builder: None,
-                    enqueued_at: SimTime::ZERO,
-                    phase_started: SimTime::ZERO,
-                    env_flow: None,
-                    data_flow: None,
-                    merge_inputs: Some(inputs),
-                    attempt: 0,
-                    watchdog: None,
-                },
-            );
-            self.merge_queue.push_back(id);
+            self.queue_merge(id, inputs, SimTime::ZERO);
         }
         // Outputs not yet claimed by any group refill the planner's
         // pending buffer in their original finish order.
-        self.pending_outputs = self.db.done_order_unmerged().into();
-        self.pending_bytes = self.pending_outputs.iter().map(|o| o.1).sum();
+        self.planner.extend(self.db.done_order_unmerged());
         self.unmerged_count = self.db.unmerged_outputs().len() as u64;
     }
 
@@ -698,30 +709,8 @@ impl ClusterSim {
         else {
             return;
         };
-        let n = self.db.task_tasklets(id).map_or(0, |t| t.len()) as u32;
-        let wf = &self.workflows[wf_idx];
-        let cpu = wf.sample_task_cpu(n, &mut self.rng);
-        self.tasks.insert(
-            id,
-            TaskInfo {
-                wf: wf_idx,
-                category: Category::Analysis,
-                input_bytes: wf.task_input_bytes(n),
-                output_bytes: wf.task_output_bytes(n),
-                cpu,
-                phase: Phase::Queued,
-                worker: None,
-                builder: None,
-                enqueued_at: SimTime::ZERO,
-                phase_started: SimTime::ZERO,
-                env_flow: None,
-                data_flow: None,
-                merge_inputs: None,
-                attempt: self.db.attempts(id),
-                watchdog: None,
-            },
-        );
-        self.buffer.push(id);
+        let attempt = self.db.attempts(id);
+        self.queue_analysis(id, wf_idx, SimTime::ZERO, attempt);
     }
 
     /// Fold the final model state into a [`RunReport`]. Public so external
@@ -758,10 +747,6 @@ impl ClusterSim {
         }
     }
 
-    fn done(&self) -> bool {
-        self.finished_at.is_some()
-    }
-
     // ----- multi-tenant coordination surface --------------------------------
     //
     // A multi-tenant coordinator steps several `ClusterSim` sessions over one
@@ -790,7 +775,7 @@ impl ClusterSim {
 
     /// Whether the whole campaign (including merges) has completed.
     pub fn is_finished(&self) -> bool {
-        self.done()
+        self.finished_at.is_some()
     }
 
     /// Outputs not yet folded into a merged file — the merge-side demand
@@ -812,11 +797,6 @@ impl ClusterSim {
     /// WAN bytes pulled so far, per dataset (cold-side accounting).
     pub fn wan_bytes_by_dataset(&self) -> &BTreeMap<String, u64> {
         &self.wan_by_dataset
-    }
-
-    /// The federation consumer label this master reports under.
-    pub fn consumer_label(&self) -> &str {
-        &self.consumer
     }
 
     /// Simulate a process crash for an externally-driven engine: drop the
@@ -845,30 +825,7 @@ impl ClusterSim {
                 // Disjoint field borrows: no per-task clone of the name.
                 let created_id = self.db.create_task(&self.workflows[wf_idx].name, size);
                 if let Some(id) = created_id {
-                    let n = self.db.task_tasklets(id).expect("created").len() as u32;
-                    let wf = &self.workflows[wf_idx];
-                    let cpu = wf.sample_task_cpu(n, &mut self.rng);
-                    self.tasks.insert(
-                        id,
-                        TaskInfo {
-                            wf: wf_idx,
-                            category: Category::Analysis,
-                            input_bytes: wf.task_input_bytes(n),
-                            output_bytes: wf.task_output_bytes(n),
-                            cpu,
-                            phase: Phase::Queued,
-                            worker: None,
-                            builder: None,
-                            enqueued_at: now,
-                            phase_started: now,
-                            env_flow: None,
-                            data_flow: None,
-                            merge_inputs: None,
-                            attempt: 0,
-                            watchdog: None,
-                        },
-                    );
-                    self.buffer.push(id);
+                    self.queue_analysis(id, wf_idx, now, 0);
                     created = true;
                     break;
                 }
@@ -879,39 +836,35 @@ impl ClusterSim {
         }
     }
 
-    fn create_merge_task(&mut self, now: SimTime, inputs: Vec<(TaskId, u64)>) {
+    /// Queue analysis task `id` (workflow `wf_idx`, `attempt` dispatches
+    /// already charged) for dispatch, drawing its CPU need.
+    fn queue_analysis(&mut self, id: TaskId, wf_idx: usize, at: SimTime, attempt: u32) {
+        let n = self.db.task_tasklets(id).map_or(0, |t| t.len()) as u32;
+        let wf = &self.workflows[wf_idx];
+        let bytes = (wf.task_input_bytes(n), wf.task_output_bytes(n));
+        let cpu = wf.sample_task_cpu(n, &mut self.rng);
+        let t = TaskInfo::queued(wf_idx, Category::Analysis, bytes, cpu, at);
+        self.tasks.insert(id, TaskInfo { attempt, ..t });
+        self.buffer.push(id);
+    }
+
+    /// Queue merge task `id` over `inputs` for dispatch.
+    fn queue_merge(&mut self, id: TaskId, inputs: Vec<(TaskId, u64)>, at: SimTime) {
         let bytes: u64 = inputs.iter().map(|i| i.1).sum();
+        let cpu = merge::merge_cpu(bytes);
+        let t = TaskInfo::queued(0, Category::Merge, (bytes, bytes), cpu, at);
+        let merge_inputs = Some(inputs);
+        self.tasks.insert(id, TaskInfo { merge_inputs, ..t });
+        self.merge_queue.push_back(id);
+    }
+
+    fn create_merge_task(&mut self, now: SimTime, group: MergeGroup) {
         // Journal the group first: a crash between planning and
         // completion re-issues exactly this merge on resume.
-        let id = match self.db.create_merge_group(&inputs) {
-            Ok(id) => id,
-            Err(e) => {
-                debug_assert!(false, "planner drained an unmergeable group: {e}");
-                return;
-            }
-        };
-        let cpu = self.params.merge_cpu_per_gb.mul_f64(bytes as f64 / 1e9);
-        self.tasks.insert(
-            id,
-            TaskInfo {
-                wf: 0,
-                category: Category::Merge,
-                input_bytes: bytes,
-                output_bytes: bytes,
-                cpu,
-                phase: Phase::Queued,
-                worker: None,
-                builder: None,
-                enqueued_at: now,
-                phase_started: now,
-                env_flow: None,
-                data_flow: None,
-                merge_inputs: Some(inputs),
-                attempt: 0,
-                watchdog: None,
-            },
-        );
-        self.merge_queue.push_back(id);
+        match self.db.create_merge_group(&group.inputs) {
+            Ok(id) => self.queue_merge(id, group.inputs, now),
+            Err(e) => debug_assert!(false, "planner drained an unmergeable group: {e}"),
+        }
     }
 
     // ----- dispatch --------------------------------------------------------
@@ -1017,17 +970,7 @@ impl ClusterSim {
         let squid_idx = (worker as usize) % self.squids.len();
         if hot {
             // Cheap re-validation + conditions payload, one per task.
-            let bytes = self.catalog.hot_bytes();
-            match self.squid_admit(squid_idx, now, bytes) {
-                Ok(flow) => {
-                    self.squid_flows[squid_idx].insert(flow, id);
-                    if let Some(t) = self.tasks.get_mut(id) {
-                        t.env_flow = Some((squid_idx, flow));
-                    }
-                    self.reschedule_squid(squid_idx, ctx);
-                }
-                Err(TimedOut) => self.fail_attempt(id, Segment::EnvInit, false, ctx),
-            }
+            self.admit_env_flow(id, squid_idx, self.catalog.hot_bytes(), ctx);
         } else if self.cfg.infra.alien_cache {
             // Alien cache (§4.3): one cold fill per worker; concurrent
             // tasks on the same worker *join* the in-flight fill instead
@@ -1048,17 +991,22 @@ impl ClusterSim {
         } else {
             // No alien cache: every task pays the full cold fill into its
             // own cache directory (Figure 6(b) economics).
-            let bytes = self.catalog.total_bytes();
-            match self.squid_admit(squid_idx, now, bytes) {
-                Ok(flow) => {
-                    self.squid_flows[squid_idx].insert(flow, id);
-                    if let Some(t) = self.tasks.get_mut(id) {
-                        t.env_flow = Some((squid_idx, flow));
-                    }
-                    self.reschedule_squid(squid_idx, ctx);
+            self.admit_env_flow(id, squid_idx, self.catalog.total_bytes(), ctx);
+        }
+    }
+
+    /// Start `id`'s own environment-setup flow of `bytes` at squid `idx`,
+    /// or fail the attempt when the proxy turns it away.
+    fn admit_env_flow(&mut self, id: TaskId, idx: usize, bytes: u64, ctx: &mut Ctx<Ev>) {
+        match self.squid_admit(idx, ctx.now(), bytes) {
+            Ok(flow) => {
+                self.squid_flows[idx].insert(flow, id);
+                if let Some(t) = self.tasks.get_mut(id) {
+                    t.env_flow = Some((idx, flow));
                 }
-                Err(TimedOut) => self.fail_attempt(id, Segment::EnvInit, false, ctx),
+                self.reschedule_squid(idx, ctx);
             }
+            Err(TimedOut) => self.fail_attempt(id, Segment::EnvInit, false, ctx),
         }
     }
 
@@ -1072,22 +1020,18 @@ impl ClusterSim {
         self.squids[idx].request(now, bytes)
     }
 
-    /// Chirp read with any injected failure probability applied first.
-    fn chirp_admit_get(&mut self, now: SimTime, bytes: u64) -> Result<Grant, ChirpDown> {
+    /// Chirp read (or, with `put`, write) with any injected failure
+    /// probability applied first.
+    fn chirp_admit(&mut self, now: SimTime, bytes: u64, put: bool) -> Result<Grant, ChirpDown> {
         let p = self.chirp.fault().failure_prob();
         if p > 0.0 && self.rng.chance(p) {
             return Err(ChirpDown);
         }
-        self.chirp.try_get(now, bytes)
-    }
-
-    /// Chirp write with any injected failure probability applied first.
-    fn chirp_admit_put(&mut self, now: SimTime, bytes: u64) -> Result<Grant, ChirpDown> {
-        let p = self.chirp.fault().failure_prob();
-        if p > 0.0 && self.rng.chance(p) {
-            return Err(ChirpDown);
+        if put {
+            self.chirp.try_put(now, bytes)
+        } else {
+            self.chirp.try_get(now, bytes)
         }
-        self.chirp.try_put(now, bytes)
     }
 
     // ----- segment watchdogs -------------------------------------------------
@@ -1119,9 +1063,7 @@ impl ClusterSim {
         let Some(t) = self.tasks.get_mut(id) else {
             return;
         };
-        if let Some((_, _, ev)) = t.watchdog.take() {
-            ctx.cancel(ev);
-        }
+        t.disarm(ctx);
         let Some(dl) = deadline else { return };
         self.watchdog_seq += 1;
         let seq = self.watchdog_seq;
@@ -1137,9 +1079,7 @@ impl ClusterSim {
     /// Cancel `id`'s armed watchdog, if any.
     fn disarm_watchdog(&mut self, id: TaskId, ctx: &mut Ctx<Ev>) {
         if let Some(t) = self.tasks.get_mut(id) {
-            if let Some((_, _, ev)) = t.watchdog.take() {
-                ctx.cancel(ev);
-            }
+            t.disarm(ctx);
         }
     }
 
@@ -1253,7 +1193,7 @@ impl ClusterSim {
             // overlay for simulation tasks (§6), and the already
             // staged-out analysis outputs for merge tasks (§4.4) — merge
             // inputs never cross the WAN.
-            match self.chirp_admit_get(now, input) {
+            match self.chirp_admit(now, input, false) {
                 Ok(grant) => {
                     let Some(t) = self.tasks.get_mut(id) else {
                         return;
@@ -1434,7 +1374,7 @@ impl ClusterSim {
             t.phase_started = now;
             t.output_bytes
         };
-        match self.chirp_admit_put(now, output) {
+        match self.chirp_admit(now, output, true) {
             Ok(grant) => {
                 let Some(t) = self.tasks.get_mut(id) else {
                     return;
@@ -1475,9 +1415,7 @@ impl ClusterSim {
         let Some(mut t) = self.tasks.remove(id) else {
             return;
         };
-        if let Some((_, _, ev)) = t.watchdog.take() {
-            ctx.cancel(ev);
-        }
+        t.disarm(ctx);
         let worker = t.worker.expect("running");
         let Some(report) = t.builder.take().map(|b| b.succeed(now, t.output_bytes)) else {
             return;
@@ -1485,23 +1423,15 @@ impl ClusterSim {
         self.release_task_slot(worker, id);
         self.ingest(&report, t.wf);
         if t.category == Category::Merge {
-            self.merge_done.mark(now);
-            let inputs = t.merge_inputs.take().expect("merge task");
-            let ids: Vec<TaskId> = inputs.iter().map(|i| i.0).collect();
-            let bytes: u64 = inputs.iter().map(|i| i.1).sum();
-            let name = format!("merged_{}.root", id.0);
-            self.unmerged_count = self.unmerged_count.saturating_sub(ids.len() as u64);
-            if let Err(e) = self.db.mark_merged(Some(id), &ids, &name, bytes) {
-                debug_assert!(false, "completed merge the db rejects: {e}");
-            }
+            let inputs = t.merge_inputs.take().unwrap_or_default();
+            self.record_merged(now, Some(id), &inputs, &format!("merged_{}.root", id.0));
         } else {
             self.analysis_done.mark(now);
             if let Err(e) = self.db.mark_done(id, t.output_bytes) {
                 debug_assert!(false, "completed task the db rejects: {e}");
             }
             self.unmerged_count += 1;
-            self.pending_outputs.push_back((id, t.output_bytes));
-            self.pending_bytes += t.output_bytes;
+            self.planner.push(id, t.output_bytes);
             self.maybe_plan_merges(now, ctx);
         }
         self.check_finished(now);
@@ -1510,123 +1440,59 @@ impl ClusterSim {
 
     // ----- merging ----------------------------------------------------------
 
-    /// Drain one target-sized group off the pending-output queue, or the
-    /// whole remainder when `flush` is set.
-    fn drain_group(&mut self, flush: bool) -> Option<Vec<(TaskId, u64)>> {
-        let target = self.planner.target_bytes();
-        if !flush && self.pending_bytes < target {
-            return None;
-        }
-        let mut group = Vec::new();
-        let mut acc = 0u64;
-        while acc < target {
-            let Some((id, bytes)) = self.pending_outputs.pop_front() else {
-                break;
-            };
-            acc += bytes;
-            self.pending_bytes -= bytes;
-            group.push((id, bytes));
-        }
-        if group.is_empty() {
-            None
-        } else {
-            Some(group)
+    fn progress(&self) -> Progress {
+        Progress {
+            done: self.db.total_done_tasklets(),
+            dead: self.db.total_dead_tasklets(),
+            total: self.analysis_units,
         }
     }
 
-    fn analysis_progress(&self) -> f64 {
-        if self.analysis_units == 0 {
-            1.0
-        } else {
-            self.db.total_done_tasklets() as f64 / self.analysis_units as f64
-        }
-    }
-
-    fn analysis_exhausted(&self) -> bool {
-        // Dead-lettered tasklets count against the total: a withdrawn
-        // task must not hold the merge flush (and the run) hostage.
-        // Per-workflow done + dead never exceeds the workflow's total, so
-        // the summed comparison is exact, not an approximation.
-        self.db.total_done_tasklets() + self.db.total_dead_tasklets() >= self.analysis_units
-    }
-
+    /// Turn every group the planner releases now into a merge task, or,
+    /// in Hadoop mode, into reducer completions on the LPT schedule.
     fn maybe_plan_merges(&mut self, now: SimTime, ctx: &mut Ctx<Ev>) {
-        match self.cfg.merge {
-            MergeMode::Interleaved => {
-                // "Merge tasks will only be created when enough processing
-                // tasks have finished to create a sufficiently large merged
-                // output file", gated at 10 % workflow progress (§4.4).
-                let flush = self.analysis_exhausted();
-                if !flush && self.analysis_progress() < 0.10 {
-                    return;
-                }
-                while let Some(group) = self.drain_group(flush) {
-                    self.create_merge_task(now, group);
-                }
+        let progress = self.progress();
+        if self.cfg.merge == MergeMode::Hadoop {
+            let groups: Vec<MergeGroup> =
+                std::iter::from_fn(|| self.planner.next_group(progress)).collect();
+            for (group, finish) in merge::hadoop_schedule(groups, self.params.hadoop_rate) {
+                ctx.schedule_at(now + finish, Ev::HadoopGroupDone(self.hadoop_groups.len()));
+                self.hadoop_groups.push(group);
             }
-            MergeMode::Sequential => {
-                if self.analysis_exhausted() && !self.sequential_planned {
-                    self.sequential_planned = true;
-                    while let Some(group) = self.drain_group(true) {
-                        self.create_merge_task(now, group);
-                    }
-                }
-            }
-            MergeMode::Hadoop => {
-                if self.analysis_exhausted() && !self.hadoop_started {
-                    self.hadoop_started = true;
-                    self.plan_hadoop(now, ctx);
-                }
+        } else {
+            while let Some(group) = self.planner.next_group(progress) {
+                self.create_merge_task(now, group);
             }
         }
     }
 
-    /// LPT-assign merge groups to reducers; schedule per-group completions.
-    fn plan_hadoop(&mut self, now: SimTime, ctx: &mut Ctx<Ev>) {
-        let mut outs = Vec::new();
-        while let Some(group) = self.drain_group(true) {
-            outs.push(group);
-        }
-        let mut groups: Vec<crate::merge::MergeGroup> = outs
-            .into_iter()
-            .map(|inputs| crate::merge::MergeGroup { inputs })
-            .collect();
-        groups.sort_by_key(|g| std::cmp::Reverse(g.bytes()));
-        let mut reducer_free = vec![SimDuration::ZERO; self.params.hadoop_reducers.max(1)];
-        for g in groups {
-            let bytes = g.bytes();
-            // The merge reads and writes the data once each, in-cluster.
-            let dur = SimDuration::from_secs_f64(2.0 * bytes as f64 / self.params.hadoop_rate);
-            let r = reducer_free
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, d)| **d)
-                .map(|(i, _)| i)
-                .expect("at least one reducer");
-            let start = reducer_free[r];
-            reducer_free[r] = start + dur;
-            let gi = self.hadoop_groups.len();
-            self.hadoop_groups.push((g.inputs, bytes));
-            ctx.schedule_at(now + start + dur, Ev::HadoopGroupDone(gi));
-        }
-    }
-
-    fn on_hadoop_group_done(&mut self, gi: usize, ctx: &mut Ctx<Ev>) {
-        let now = ctx.now();
+    fn on_hadoop_group_done(&mut self, gi: usize, now: SimTime) {
         // Each group completes exactly once; take it instead of cloning.
-        let (inputs, bytes) = std::mem::take(&mut self.hadoop_groups[gi]);
-        let ids: Vec<TaskId> = inputs.iter().map(|i| i.0).collect();
+        let group = std::mem::take(&mut self.hadoop_groups[gi]);
         // Name by files produced, not group index: a resumed run replans
         // the outstanding groups from scratch, so indices shift but the
         // produced-file sequence stays collision-free.
         let name = format!("merged_h{}.root", self.db.merged_file_count());
+        self.record_merged(now, None, &group.inputs, &name);
+        self.check_finished(now);
+    }
+
+    /// Journal a finished merge of `inputs` (by merge task `merge`, or
+    /// in Hadoop when `None`) as the merged file `name`.
+    fn record_merged(
+        &mut self,
+        now: SimTime,
+        merge: Option<TaskId>,
+        inputs: &[(TaskId, u64)],
+        name: &str,
+    ) {
+        let ids: Vec<TaskId> = inputs.iter().map(|i| i.0).collect();
+        let bytes = inputs.iter().map(|i| i.1).sum();
         self.unmerged_count = self.unmerged_count.saturating_sub(ids.len() as u64);
-        if let Err(e) = self.db.mark_merged(None, &ids, &name, bytes) {
-            debug_assert!(false, "completed hadoop merge the db rejects: {e}");
+        if let Err(e) = self.db.mark_merged(merge, &ids, name, bytes) {
+            debug_assert!(false, "completed merge the db rejects: {e}");
         }
         self.merge_done.mark(now);
-        self.check_finished(now);
-        let _ = ctx;
     }
 
     // ----- failure & eviction ------------------------------------------------
@@ -1641,9 +1507,7 @@ impl ClusterSim {
         let Some(mut t) = self.tasks.remove(id) else {
             return;
         };
-        if let Some((_, _, ev)) = t.watchdog.take() {
-            ctx.cancel(ev);
-        }
+        t.disarm(ctx);
         let Some(worker) = t.worker else { return };
         // A task waiting on a shared alien-cache fill holds no flow of
         // its own; drop it from the fill's waiter list (killing the fill
@@ -1721,8 +1585,13 @@ impl ClusterSim {
     ) {
         let Some(max) = self.cfg.retry.max_attempts else {
             // Unbounded legacy policy: merges re-enqueue whole, analysis
-            // tasklets return to the pool for re-covering.
-            self.requeue(id, t, now);
+            // tasklets return to the pool for fresh tasks to re-cover.
+            if t.category == Category::Merge {
+                self.tasks.insert(id, t.requeued(now));
+                self.merge_queue.push_back(id);
+            } else if let Err(e) = self.db.mark_lost(id) {
+                debug_assert!(false, "requeued a task the db rejects: {e}");
+            }
             return;
         };
         if t.attempt >= max {
@@ -1732,16 +1601,8 @@ impl ClusterSim {
         // Bounded budget: the same task identity retries so the attempt
         // count carries across failures.
         let delay = self.cfg.retry.requeue.delay(t.attempt, &mut self.rng);
-        let mut t = t;
-        t.phase = Phase::Queued;
-        t.worker = None;
-        t.builder = None;
-        t.env_flow = None;
-        t.data_flow = None;
-        t.watchdog = None;
-        t.enqueued_at = now + delay;
         let category = t.category;
-        self.tasks.insert(id, t);
+        self.tasks.insert(id, t.requeued(now + delay));
         if delay.is_zero() {
             self.enqueue_retry(id, category);
         } else {
@@ -1808,26 +1669,6 @@ impl ClusterSim {
         }
     }
 
-    /// Return a task's work to the system after a failed attempt under
-    /// the unbounded (legacy) retry policy.
-    fn requeue(&mut self, id: TaskId, t: TaskInfo, now: SimTime) {
-        if t.category == Category::Merge {
-            // Re-enqueue the same merge group.
-            let mut t = t;
-            t.phase = Phase::Queued;
-            t.worker = None;
-            t.builder = None;
-            t.enqueued_at = now;
-            self.tasks.insert(id, t);
-            self.merge_queue.push_back(id);
-        } else {
-            // Tasklets go back to the pool; fresh tasks re-cover them.
-            if let Err(e) = self.db.mark_lost(id) {
-                debug_assert!(false, "requeued a task the db rejects: {e}");
-            }
-        }
-    }
-
     fn release_task_slot(&mut self, worker: u64, id: TaskId) {
         if let Some(list) = self.running_on.get_mut(worker as usize) {
             if let Some(pos) = list.iter().position(|t| *t == id) {
@@ -1868,9 +1709,7 @@ impl ClusterSim {
             let Some(mut t) = self.tasks.remove(id) else {
                 continue;
             };
-            if let Some((_, _, ev)) = t.watchdog.take() {
-                ctx.cancel(ev);
-            }
+            t.disarm(ctx);
             self.abort_flows(&mut t, now);
             if let Some(b) = t.builder.take() {
                 let report = b.evict(now);
@@ -1952,7 +1791,7 @@ impl ClusterSim {
 
     fn check_finished(&mut self, now: SimTime) {
         if self.finished_at.is_none()
-            && self.analysis_exhausted()
+            && self.progress().exhausted()
             && self.unmerged_count == 0
             && self.merge_queue.is_empty()
             && self.tasks.is_empty()
@@ -1982,7 +1821,7 @@ impl Model for ClusterSim {
                 self.check_finished(ctx.now());
             }
             Ev::Replenish => {
-                if !self.done() {
+                if !self.is_finished() {
                     let mut delays = std::mem::take(&mut self.scratch_delays);
                     self.factory.replenish_into(&mut self.rng, &mut delays);
                     for &d in &delays {
@@ -1993,7 +1832,7 @@ impl Model for ClusterSim {
                 }
             }
             Ev::PoolTick => {
-                if !self.done() {
+                if !self.is_finished() {
                     let owed = self.pool.tick(ctx.now());
                     let mut evict_cores = owed;
                     let mut killed = 0u32;
@@ -2019,7 +1858,7 @@ impl Model for ClusterSim {
                 }
             }
             Ev::WorkerArrive => {
-                if !self.done() {
+                if !self.is_finished() {
                     self.on_worker_arrive(ctx);
                 }
             }
@@ -2048,7 +1887,7 @@ impl Model for ClusterSim {
             Ev::ExecDone(id, a) => self.on_exec_done(id, a, ctx),
             Ev::StageOutDone(id, a) => self.on_stage_out_done(id, a, ctx),
             Ev::CollectDone(id, a) => self.on_collect_done(id, a, ctx),
-            Ev::HadoopGroupDone(g) => self.on_hadoop_group_done(g, ctx),
+            Ev::HadoopGroupDone(g) => self.on_hadoop_group_done(g, ctx.now()),
             Ev::SlotFree(worker) => {
                 self.table.release_slot(worker);
                 self.dispatch(ctx);

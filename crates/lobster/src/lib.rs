@@ -48,7 +48,6 @@ pub mod local;
 pub mod merge;
 pub mod monitor;
 pub mod ops;
-pub mod publish;
 pub mod tasksize;
 pub mod workflow;
 pub mod wrapper;

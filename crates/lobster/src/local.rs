@@ -9,7 +9,7 @@
 //! wrapper around [`LocalLobster`].
 
 use crate::db::LobsterDb;
-use crate::merge::{merge_in_hadoop, MergePlanner};
+use crate::merge::{merge_in_hadoop, MergeMode, MergePlanner};
 use gridstore::hdfs::Hdfs;
 use gridstore::mapreduce::MapReduce;
 use std::sync::Arc;
@@ -164,7 +164,7 @@ impl LocalLobster {
             );
         }
         // Real Hadoop-mode merge.
-        let planner = MergePlanner::new(self.cfg.merge_target_bytes);
+        let planner = MergePlanner::new(MergeMode::Hadoop, self.cfg.merge_target_bytes);
         let groups = planner.plan_full(&unmerged);
         let named: Vec<(String, Vec<String>)> = groups
             .iter()

@@ -16,6 +16,8 @@
 use gridstore::hdfs::Hdfs;
 use gridstore::mapreduce::MapReduce;
 use serde::{Deserialize, Serialize};
+use simkit::SimDuration;
+use std::collections::VecDeque;
 use wqueue::task::TaskId;
 
 /// The three merging modes.
@@ -40,8 +42,23 @@ impl MergeMode {
     }
 }
 
+/// Merge-task CPU per GB of merged data.
+const MERGE_CPU_PER_GB: SimDuration = SimDuration::from_mins(1);
+
+/// Hadoop mode: parallel reducers in the storage cluster.
+const HADOOP_REDUCERS: usize = 20;
+
+/// Interleaved mode merges nothing until this fraction of the analysis
+/// tasklets is done (paper: 10 %).
+pub const INTERLEAVED_GATE: f64 = 0.10;
+
+/// CPU a merge task of `bytes` needs.
+pub(crate) fn merge_cpu(bytes: u64) -> SimDuration {
+    MERGE_CPU_PER_GB.mul_f64(bytes as f64 / 1e9)
+}
+
 /// A planned merge: which outputs combine into one file.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MergeGroup {
     /// Inputs as `(producing task, bytes)`.
     pub inputs: Vec<(TaskId, u64)>,
@@ -64,77 +81,153 @@ impl MergeGroup {
     }
 }
 
-/// Groups outputs into merge tasks of a target size.
+/// Where the analysis phase stands, in tasklets: the input of every
+/// merge gate.
 #[derive(Clone, Copy, Debug)]
+pub struct Progress {
+    /// Tasklets done.
+    pub done: u64,
+    /// Tasklets withdrawn to the dead-letter ledger.
+    pub dead: u64,
+    /// Tasklets across all workflows.
+    pub total: u64,
+}
+
+impl Progress {
+    /// No analysis work is left. Dead-lettered tasklets count against the
+    /// total: a withdrawn task must not hold the merge flush (and the run)
+    /// hostage. Per-workflow done + dead never exceeds the workflow's
+    /// total, so the summed comparison is exact.
+    pub fn exhausted(self) -> bool {
+        self.done + self.dead >= self.total
+    }
+}
+
+/// Decides how finished outputs group into merges: it holds the pending
+/// outputs in finish order and releases target-size groups when the
+/// mode's gate opens.
+#[derive(Clone, Debug)]
 pub struct MergePlanner {
+    mode: MergeMode,
     target_bytes: u64,
-    /// Interleaved mode only merges once this fraction of the workflow
-    /// has been processed (paper: 10 %).
-    progress_gate: f64,
+    /// Finished outputs not yet claimed by any group, in finish order.
+    pending: VecDeque<(TaskId, u64)>,
+    pending_bytes: u64,
+    /// Sequential and Hadoop modes plan once, when analysis is exhausted.
+    end_planned: bool,
 }
 
 impl MergePlanner {
-    /// Planner targeting `target_bytes` per merged file.
-    pub fn new(target_bytes: u64) -> Self {
+    /// Planner for `mode`, targeting `target_bytes` per merged file.
+    pub fn new(mode: MergeMode, target_bytes: u64) -> Self {
         assert!(target_bytes > 0);
         MergePlanner {
+            mode,
             target_bytes,
-            progress_gate: 0.10,
+            pending: VecDeque::new(),
+            pending_bytes: 0,
+            end_planned: false,
         }
     }
 
-    /// The merged-file size target.
-    pub fn target_bytes(&self) -> u64 {
-        self.target_bytes
+    /// Queue a finished output behind the earlier ones.
+    pub fn push(&mut self, id: TaskId, bytes: u64) {
+        self.pending.push_back((id, bytes));
+        self.pending_bytes += bytes;
     }
 
-    /// Group *all* outputs (sequential / hadoop, end-of-run): greedy
-    /// accumulation to the target; the final group may be smaller.
-    pub fn plan_full(&self, outputs: &[(TaskId, u64)]) -> Vec<MergeGroup> {
-        let mut groups = Vec::new();
-        let mut current: Vec<(TaskId, u64)> = Vec::new();
-        let mut acc = 0u64;
-        for &(id, bytes) in outputs {
-            current.push((id, bytes));
-            acc += bytes;
-            if acc >= self.target_bytes {
-                groups.push(MergeGroup {
-                    inputs: std::mem::take(&mut current),
-                });
-                acc = 0;
-            }
+    /// Queue recovered outputs, already in finish order.
+    pub fn extend(&mut self, outputs: impl IntoIterator<Item = (TaskId, u64)>) {
+        for (id, bytes) in outputs {
+            self.push(id, bytes);
         }
-        if !current.is_empty() {
-            groups.push(MergeGroup { inputs: current });
-        }
-        groups
     }
 
-    /// Interleaved planning: given the currently unmerged outputs and the
-    /// workflow's processed fraction, emit only *full* groups (≥ target),
-    /// leaving the remainder unmerged until more outputs arrive. Before
-    /// the 10 % gate nothing is merged. Set `final_flush` at end of
-    /// processing to also emit the trailing partial group.
-    pub fn plan_ready(
-        &self,
-        outputs: &[(TaskId, u64)],
-        progress: f64,
-        final_flush: bool,
-    ) -> Vec<MergeGroup> {
-        if progress < self.progress_gate && !final_flush {
-            return Vec::new();
-        }
-        let mut groups = self.plan_full(outputs);
-        if !final_flush {
-            // Drop the trailing partial group — it waits for more outputs.
-            if let Some(last) = groups.last() {
-                if last.bytes() < self.target_bytes {
-                    groups.pop();
+    /// The next group to merge now, if the mode's gate is open:
+    ///
+    /// * **Interleaved** — nothing before [`INTERLEAVED_GATE`]; after it,
+    ///   only full groups (≥ target); once analysis is exhausted, the
+    ///   trailing partial group too.
+    /// * **Sequential / Hadoop** — nothing until analysis is exhausted;
+    ///   then every pending output, once.
+    ///
+    /// Call until it returns `None`.
+    pub fn next_group(&mut self, progress: Progress) -> Option<MergeGroup> {
+        let exhausted = progress.exhausted();
+        match self.mode {
+            MergeMode::Interleaved => {
+                // "Merge tasks will only be created when enough processing
+                // tasks have finished to create a sufficiently large merged
+                // output file" (§4.4). `exhausted` covers `total == 0`, so
+                // the fraction is finite.
+                if !exhausted && (progress.done as f64 / progress.total as f64) < INTERLEAVED_GATE {
+                    return None;
                 }
+                self.drain(exhausted)
+            }
+            MergeMode::Sequential | MergeMode::Hadoop => {
+                if !exhausted || self.end_planned {
+                    return None;
+                }
+                let group = self.drain(true);
+                self.end_planned = group.is_none();
+                group
             }
         }
-        groups
     }
+
+    /// Group *all* `outputs` at once (end-of-run): greedy accumulation to
+    /// the target; the final group may be smaller.
+    pub fn plan_full(&self, outputs: &[(TaskId, u64)]) -> Vec<MergeGroup> {
+        let mut one_shot = MergePlanner::new(self.mode, self.target_bytes);
+        one_shot.extend(outputs.iter().copied());
+        std::iter::from_fn(|| one_shot.drain(true)).collect()
+    }
+
+    /// Pop one group off the pending queue: outputs in finish order until
+    /// the group reaches the target. Without `flush` only a full group
+    /// leaves; with it, the trailing partial group does too.
+    fn drain(&mut self, flush: bool) -> Option<MergeGroup> {
+        if !flush && self.pending_bytes < self.target_bytes {
+            return None;
+        }
+        let mut group = MergeGroup::default();
+        let mut acc = 0u64;
+        while acc < self.target_bytes {
+            let Some((id, bytes)) = self.pending.pop_front() else {
+                break;
+            };
+            acc += bytes;
+            self.pending_bytes -= bytes;
+            group.inputs.push((id, bytes));
+        }
+        (!group.is_empty()).then_some(group)
+    }
+}
+
+/// Hadoop mode's reducer schedule (LPT): the largest group goes to the
+/// least-loaded of [`HADOOP_REDUCERS`] reducers, each of which reads and
+/// writes its groups' data once at `rate` bytes/second. Equal-size groups
+/// keep their order and a tie between reducers goes to the lowest index.
+/// Returns the groups in assignment order, each with its finish time
+/// measured from the start of the job.
+pub(crate) fn hadoop_schedule(
+    mut groups: Vec<MergeGroup>,
+    rate: f64,
+) -> Vec<(MergeGroup, SimDuration)> {
+    groups.sort_by_key(|g| std::cmp::Reverse(g.bytes()));
+    let mut reducer_free = [SimDuration::ZERO; HADOOP_REDUCERS];
+    groups
+        .into_iter()
+        .map(|g| {
+            let dur = SimDuration::from_secs_f64(2.0 * g.bytes() as f64 / rate);
+            let r = (0..HADOOP_REDUCERS)
+                .min_by_key(|&i| reducer_free[i])
+                .unwrap_or(0);
+            reducer_free[r] += dur;
+            (g, reducer_free[r])
+        })
+        .collect()
 }
 
 /// Execute merges inside the storage cluster as a real Map-Reduce job
@@ -194,10 +287,32 @@ mod tests {
             .collect()
     }
 
+    /// A planner over outputs 0.. of `sizes`, targeting 100 bytes.
+    fn planner(mode: MergeMode, sizes: &[u64]) -> MergePlanner {
+        let mut p = MergePlanner::new(mode, 100);
+        p.extend(outputs(sizes));
+        p
+    }
+
+    fn progress(done: u64, total: u64) -> Progress {
+        Progress {
+            done,
+            dead: 0,
+            total,
+        }
+    }
+
+    /// Every group the planner releases at `progress`, as task-id lists.
+    fn drain_ids(p: &mut MergePlanner, progress: Progress) -> Vec<Vec<u64>> {
+        std::iter::from_fn(|| p.next_group(progress))
+            .map(|g| g.inputs.iter().map(|i| i.0 .0).collect())
+            .collect()
+    }
+
     #[test]
     fn plan_full_covers_everything_once() {
         let outs = outputs(&[40, 40, 40, 40, 25]);
-        let groups = MergePlanner::new(100).plan_full(&outs);
+        let groups = MergePlanner::new(MergeMode::Sequential, 100).plan_full(&outs);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].bytes(), 120);
         assert_eq!(groups[1].bytes(), 65, "trailing partial group kept");
@@ -214,45 +329,113 @@ mod tests {
 
     #[test]
     fn plan_full_empty_input() {
-        assert!(MergePlanner::new(100).plan_full(&[]).is_empty());
+        assert!(MergePlanner::new(MergeMode::Hadoop, 100)
+            .plan_full(&[])
+            .is_empty());
     }
 
     #[test]
     fn interleaved_respects_progress_gate() {
-        let p = MergePlanner::new(100);
-        let outs = outputs(&[60, 60]);
+        let mut p = planner(MergeMode::Interleaved, &[60, 60]);
         assert!(
-            p.plan_ready(&outs, 0.05, false).is_empty(),
-            "below 10% gate"
+            p.next_group(progress(9, 100)).is_none(),
+            "below the 10 % gate"
         );
-        let ready = p.plan_ready(&outs, 0.20, false);
-        assert_eq!(ready.len(), 1);
-        assert_eq!(ready[0].bytes(), 120);
+        assert_eq!(drain_ids(&mut p, progress(10, 100)), vec![vec![0, 1]]);
     }
 
     #[test]
     fn interleaved_holds_back_partial_groups() {
-        let p = MergePlanner::new(100);
-        let outs = outputs(&[60, 30]); // only 90 bytes — not a full file yet
-        assert!(p.plan_ready(&outs, 0.5, false).is_empty());
-        // final flush emits the remainder
-        let flushed = p.plan_ready(&outs, 0.5, true);
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].bytes(), 90);
+        // A group closes as soon as it reaches the target; the 40-byte
+        // remainder is not a full file yet and waits.
+        let mut p = planner(MergeMode::Interleaved, &[50, 50, 40]);
+        assert_eq!(drain_ids(&mut p, progress(50, 100)), vec![vec![0, 1]]);
+        p.push(TaskId(3), 30);
+        assert!(p.next_group(progress(60, 100)).is_none(), "70 bytes held");
+        p.push(TaskId(4), 30);
+        assert_eq!(drain_ids(&mut p, progress(70, 100)), vec![vec![2, 3, 4]]);
     }
 
     #[test]
     fn final_flush_overrides_gate() {
-        let p = MergePlanner::new(100);
-        let outs = outputs(&[10]);
-        assert_eq!(p.plan_ready(&outs, 0.0, true).len(), 1);
+        // Analysis exhausted by dead letters while below the gate: the
+        // partial remainder still merges.
+        let mut p = planner(MergeMode::Interleaved, &[10]);
+        let exhausted = Progress {
+            done: 0,
+            dead: 100,
+            total: 100,
+        };
+        assert_eq!(drain_ids(&mut p, exhausted), vec![vec![0]]);
+    }
+
+    #[test]
+    fn end_of_run_modes_plan_once_when_analysis_is_exhausted() {
+        for mode in [MergeMode::Sequential, MergeMode::Hadoop] {
+            let mut p = planner(mode, &[60, 60, 30]);
+            assert!(p.next_group(progress(99, 100)).is_none(), "{mode:?}");
+            assert_eq!(
+                drain_ids(&mut p, progress(100, 100)),
+                vec![vec![0, 1], vec![2]]
+            );
+            p.push(TaskId(3), 500);
+            assert!(p.next_group(progress(100, 100)).is_none(), "{mode:?}");
+        }
     }
 
     #[test]
     fn single_oversize_output_is_its_own_group() {
-        let groups = MergePlanner::new(100).plan_full(&outputs(&[500]));
+        let mut p = planner(MergeMode::Interleaved, &[500, 10]);
+        assert_eq!(drain_ids(&mut p, progress(50, 100)), vec![vec![0]]);
+        let groups = MergePlanner::new(MergeMode::Sequential, 100).plan_full(&outputs(&[500]));
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].len(), 1);
+    }
+
+    #[test]
+    fn interleaved_drain_places_every_output_in_one_group() {
+        // Outputs arrive one at a time while progress rises, then the
+        // last completion flushes: every output lands in exactly one
+        // group, in finish order, grouped as the one-shot plan groups them.
+        let sizes: Vec<u64> = (0..40u64).map(|i| 7 + (i * 37) % 90).collect();
+        let outs = outputs(&sizes);
+        let mut p = MergePlanner::new(MergeMode::Interleaved, 100);
+        let mut groups = Vec::new();
+        for (i, &(id, bytes)) in outs.iter().enumerate() {
+            p.push(id, bytes);
+            let done = i as u64 + 1;
+            groups.extend(std::iter::from_fn(|| p.next_group(progress(done, 40))));
+        }
+        let merged: Vec<(TaskId, u64)> = groups.iter().flat_map(|g| g.inputs.clone()).collect();
+        assert_eq!(merged, outs);
+        assert_eq!(groups, p.plan_full(&outs));
+        assert!(groups[..groups.len() - 1].iter().all(|g| g.bytes() >= 100));
+    }
+
+    #[test]
+    fn hadoop_schedule_is_lpt_with_stable_ties() {
+        // One 300-byte group among 21 of 100 bytes; at 2 bytes/s a group
+        // takes as many seconds as it has bytes.
+        let groups: Vec<MergeGroup> = (0..22u64)
+            .map(|i| MergeGroup {
+                inputs: vec![(TaskId(i), if i == 1 { 300 } else { 100 })],
+            })
+            .collect();
+        let plan = hadoop_schedule(groups, 2.0);
+        let order: Vec<u64> = plan.iter().map(|(g, _)| g.inputs[0].0 .0).collect();
+        let mut expect: Vec<u64> = vec![1, 0];
+        expect.extend(2..22);
+        assert_eq!(order, expect, "largest first, equal sizes in drain order");
+        let finish: Vec<u64> = plan
+            .iter()
+            .map(|(_, d)| d.as_micros() / 1_000_000)
+            .collect();
+        // The 300 takes reducer 0; the next 19 fill reducers 1..=19; the
+        // last two queue behind the reducers that free up first (100 s).
+        let mut want = vec![300];
+        want.extend([100; 19]);
+        want.extend([200, 200]);
+        assert_eq!(finish, want);
     }
 
     #[test]

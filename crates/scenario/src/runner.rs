@@ -22,7 +22,7 @@ use opsplane::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 use simkit::fault::CrashSite;
 use simkit::time::SimTime;
-use simkit::trace::Trace;
+use simkit::trace::{fnv1a, Trace};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -123,16 +123,6 @@ struct RunTraceRecord {
     efficiency: Vec<f64>,
 }
 
-/// FNV-1a over the serialised trace bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Serialise the observable run state and digest it.
 fn trace_bytes(report: &RunReport) -> io::Result<(Vec<u8>, u64)> {
     let record = RunTraceRecord {
@@ -170,6 +160,52 @@ pub struct ScenarioRunner {
 fn cleanup(path: &Path) {
     std::fs::remove_file(path).ok();
     std::fs::remove_dir_all(path).ok();
+}
+
+/// A journal path under the runner's root: cleared when created, removed
+/// again when dropped, whichever way the conformance run ends.
+struct ScratchJournal(PathBuf);
+
+impl ScratchJournal {
+    fn new(path: PathBuf) -> Self {
+        cleanup(&path);
+        ScratchJournal(path)
+    }
+}
+
+impl Drop for ScratchJournal {
+    fn drop(&mut self) {
+        cleanup(&self.0);
+    }
+}
+
+/// What a cold replay of a drained journal accounts.
+struct Ledger {
+    done: u64,
+    dead: u64,
+    in_flight: usize,
+    unmerged: usize,
+}
+
+impl Ledger {
+    fn recover(dir: &Path) -> io::Result<Ledger> {
+        let db = LobsterDb::recover(dir)?;
+        Ok(Ledger {
+            done: db.total_done_tasklets(),
+            dead: db.total_dead_tasklets(),
+            in_flight: db.running_tasks().len(),
+            unmerged: db.unmerged_outputs().len(),
+        })
+    }
+
+    /// Why the ledger fails conservation against `total` tasklets: every
+    /// tasklet done or dead-lettered exactly once, nothing in flight.
+    fn violation(&self, total: u64) -> Option<String> {
+        let (done, dead, in_flight) = (self.done, self.dead, self.in_flight);
+        (done + dead != total || in_flight != 0).then(|| {
+            format!("done {done} + dead {dead} != total {total}, or {in_flight} task(s) in flight")
+        })
+    }
 }
 
 impl ScenarioRunner {
@@ -220,70 +256,40 @@ impl ScenarioRunner {
 
         // Reference durable run: invariants 1 (no hang) and 2
         // (conservation, via a cold journal replay).
-        let ref_path = self.root.join(format!("{}-ref", sc.name));
-        cleanup(&ref_path);
+        let ref_path = ScratchJournal::new(self.root.join(format!("{}-ref", sc.name)));
         let reference =
-            Session::new(ClusterSim::durable(cfg, params, workflows, &ref_path)?).finish();
-        let finished_at = match reference.finished_at {
-            Some(t) => t,
-            None => {
-                cleanup(&ref_path);
-                return Self::invariant(
-                    sc,
-                    "no-hang",
-                    format!(
-                        "run did not drain within the {}h horizon \
-                         ({} tasks completed, {} events)",
-                        sc.horizon_hours, reference.tasks_completed, reference.events_delivered
-                    ),
-                );
-            }
-        };
-        let db = LobsterDb::recover(&ref_path)?;
-        let done_tasklets = db.total_done_tasklets();
-        let dead_tasklets = db.total_dead_tasklets();
-        if done_tasklets + dead_tasklets != total_tasklets {
-            cleanup(&ref_path);
+            Session::new(ClusterSim::durable(cfg, params, workflows, &ref_path.0)?).finish();
+        let Some(finished_at) = reference.finished_at else {
             return Self::invariant(
                 sc,
-                "conservation",
-                format!("done {done_tasklets} + dead {dead_tasklets} != total {total_tasklets}"),
-            );
-        }
-        if !db.running_tasks().is_empty() {
-            cleanup(&ref_path);
-            return Self::invariant(
-                sc,
-                "conservation",
+                "no-hang",
                 format!(
-                    "{} task(s) left in flight after drain",
-                    db.running_tasks().len()
+                    "run did not drain within the {}h horizon ({} tasks completed, {} events)",
+                    sc.horizon_hours, reference.tasks_completed, reference.events_delivered
                 ),
             );
+        };
+        let ledger = Ledger::recover(&ref_path.0)?;
+        drop(ref_path);
+        if let Some(detail) = ledger.violation(total_tasklets) {
+            return Self::invariant(sc, "conservation", detail);
         }
-        if reference.dead_letters.is_empty() && !db.unmerged_outputs().is_empty() {
-            cleanup(&ref_path);
+        if reference.dead_letters.is_empty() && ledger.unmerged != 0 {
             return Self::invariant(
                 sc,
                 "conservation",
                 format!(
                     "{} output(s) outside any merged file in a dead-letter-free run",
-                    db.unmerged_outputs().len()
+                    ledger.unmerged
                 ),
             );
         }
-        drop(db);
-        cleanup(&ref_path);
 
         // Invariant 3: an independent in-memory run serialises to the
         // byte-identical trace (same-seed determinism + journaling
         // non-perturbation in one comparison).
-        let Compiled {
-            cfg,
-            params,
-            workflows,
-        } = compile(sc)?;
-        let memory = Session::new(ClusterSim::new(cfg, params, workflows)).finish();
+        let c = compile(sc)?;
+        let memory = Session::new(ClusterSim::new(c.cfg, c.params, c.workflows)).finish();
         let (ref_bytes, ref_digest) = trace_bytes(&reference)?;
         let (mem_bytes, mem_digest) = trace_bytes(&memory)?;
         if ref_bytes != mem_bytes {
@@ -296,18 +302,13 @@ impl ScenarioRunner {
 
         // Invariant 4: crash halfway through the event stream, resume from
         // the journal, converge with the uninterrupted reference.
-        let crash_path = self.root.join(format!("{}-crash", sc.name));
-        cleanup(&crash_path);
+        let crash_path = ScratchJournal::new(self.root.join(format!("{}-crash", sc.name)));
         let budget = (reference.events_delivered / 2).max(1);
-        let Compiled {
-            cfg,
-            params,
-            workflows,
-        } = compile(sc)?;
-        let horizon = SimTime::ZERO + params.horizon;
-        let mut crashed = Session::new(ClusterSim::durable(cfg, params, workflows, &crash_path)?);
+        let c = compile(sc)?;
+        let horizon = SimTime::ZERO + c.params.horizon;
+        let durable = ClusterSim::durable(c.cfg, c.params, c.workflows, &crash_path.0)?;
+        let mut crashed = Session::new(durable);
         if crashed.step(horizon, budget) == Step::Quiescent {
-            cleanup(&crash_path);
             return Self::invariant(
                 sc,
                 "crash-resume",
@@ -318,15 +319,15 @@ impl ScenarioRunner {
             );
         }
         crashed.crash(CrashSite::CommitBoundary);
-        let Compiled {
-            cfg,
-            params,
-            workflows,
-        } = compile(sc)?;
-        let resumed =
-            Session::new(ClusterSim::resume(cfg, params, workflows, &crash_path)?).finish();
+        let c = compile(sc)?;
+        let resumed = Session::new(ClusterSim::resume(
+            c.cfg,
+            c.params,
+            c.workflows,
+            &crash_path.0,
+        )?)
+        .finish();
         if resumed.finished_at.is_none() {
-            cleanup(&crash_path);
             return Self::invariant(sc, "crash-resume", "resumed run never finished".to_string());
         }
         // A resumed run's *timing* legitimately diverges (the clock restarts
@@ -340,7 +341,6 @@ impl ScenarioRunner {
             && resumed.dead_letters.is_empty()
             && merged(&resumed) != merged(&reference)
         {
-            cleanup(&crash_path);
             return Self::invariant(
                 sc,
                 "crash-resume",
@@ -352,21 +352,8 @@ impl ScenarioRunner {
                 ),
             );
         }
-        let db = LobsterDb::recover(&crash_path)?;
-        let done = db.total_done_tasklets();
-        let dead = db.total_dead_tasklets();
-        let in_flight = db.running_tasks().len();
-        drop(db);
-        cleanup(&crash_path);
-        if done + dead != total_tasklets || in_flight != 0 {
-            return Self::invariant(
-                sc,
-                "crash-resume",
-                format!(
-                    "post-resume audit: done {done} + dead {dead} != total {total_tasklets}, \
-                     or {in_flight} task(s) in flight"
-                ),
-            );
+        if let Some(detail) = Ledger::recover(&crash_path.0)?.violation(total_tasklets) {
+            return Self::invariant(sc, "crash-resume", format!("post-resume audit: {detail}"));
         }
 
         let snapshot =
@@ -376,8 +363,8 @@ impl ScenarioRunner {
                 scenario: sc.name.clone(),
                 seed: sc.seed,
                 total_tasklets,
-                done_tasklets,
-                dead_tasklets,
+                done_tasklets: ledger.done,
+                dead_tasklets: ledger.dead,
                 dead_letters: reference.dead_letters.len() as u64,
                 tasks_completed: reference.tasks_completed,
                 events_delivered: reference.events_delivered,
@@ -409,15 +396,13 @@ impl ScenarioRunner {
         let per_tenant_tasklets: u64 = roster[0].workflows.iter().map(|w| w.n_tasklets()).sum();
 
         // Invariants 1 + 2 on the durable reference run.
-        let ref_root = self.root.join(format!("{}-mt-ref", sc.name));
-        cleanup(&ref_root);
-        let reference = tenancy::MultiTenant::durable(coord, roster, &ref_root)
+        let ref_root = ScratchJournal::new(self.root.join(format!("{}-mt-ref", sc.name)));
+        let reference = tenancy::MultiTenant::durable(coord, roster, &ref_root.0)
             .map_err(tenancy_err)?
             .run()
             .map_err(tenancy_err)?;
         for t in &reference.tenants {
             if t.report.finished_at.is_none() {
-                cleanup(&ref_root);
                 return Self::invariant(
                     sc,
                     "no-hang",
@@ -430,25 +415,13 @@ impl ScenarioRunner {
             }
         }
         for (i, t) in reference.tenants.iter().enumerate() {
-            let dir = tenancy::journal_dir(&ref_root, i, &t.name);
-            let db = LobsterDb::recover(&dir)?;
-            let done = db.total_done_tasklets();
-            let dead = db.total_dead_tasklets();
-            let in_flight = db.running_tasks().len();
-            if done + dead != per_tenant_tasklets || in_flight != 0 {
-                cleanup(&ref_root);
-                return Self::invariant(
-                    sc,
-                    "conservation",
-                    format!(
-                        "tenant {}: done {done} + dead {dead} != total \
-                         {per_tenant_tasklets}, or {in_flight} in flight",
-                        t.name
-                    ),
-                );
+            let dir = tenancy::journal_dir(&ref_root.0, i, &t.name);
+            if let Some(detail) = Ledger::recover(&dir)?.violation(per_tenant_tasklets) {
+                let detail = format!("tenant {}: {detail}", t.name);
+                return Self::invariant(sc, "conservation", detail);
             }
         }
-        cleanup(&ref_root);
+        drop(ref_root);
 
         // Invariant 3: in-memory run, byte-identical observables.
         let (coord, roster) = compile_multitenant(sc)?;
@@ -481,16 +454,14 @@ impl ScenarioRunner {
         }
 
         // Invariant 4: crash tenant 0 mid-run and resume from its journal.
-        let crash_root = self.root.join(format!("{}-mt-crash", sc.name));
-        cleanup(&crash_root);
+        let crash_root = ScratchJournal::new(self.root.join(format!("{}-mt-crash", sc.name)));
         let budget = (reference.tenants[0].report.events_delivered / 2).max(1);
         let (coord, roster) = compile_multitenant(sc)?;
         let mut mt =
-            tenancy::MultiTenant::durable(coord, roster, &crash_root).map_err(tenancy_err)?;
+            tenancy::MultiTenant::durable(coord, roster, &crash_root.0).map_err(tenancy_err)?;
         mt.crash_tenant(0, budget).map_err(tenancy_err)?;
         let crashed = mt.run().map_err(tenancy_err)?;
         if crashed.crash_round.is_none() {
-            cleanup(&crash_root);
             return Self::invariant(
                 sc,
                 "crash-resume",
@@ -499,29 +470,15 @@ impl ScenarioRunner {
         }
         let victim = &crashed.tenants[0];
         if victim.report.finished_at.is_none() {
-            cleanup(&crash_root);
             return Self::invariant(
                 sc,
                 "crash-resume",
                 "victim never drained after resume".to_string(),
             );
         }
-        let dir = tenancy::journal_dir(&crash_root, 0, &victim.name);
-        let db = LobsterDb::recover(&dir)?;
-        let done = db.total_done_tasklets();
-        let dead = db.total_dead_tasklets();
-        let in_flight = db.running_tasks().len();
-        drop(db);
-        cleanup(&crash_root);
-        if done + dead != per_tenant_tasklets || in_flight != 0 {
-            return Self::invariant(
-                sc,
-                "crash-resume",
-                format!(
-                    "post-resume audit: done {done} + dead {dead} != total \
-                     {per_tenant_tasklets}, or {in_flight} in flight"
-                ),
-            );
+        let dir = tenancy::journal_dir(&crash_root.0, 0, &victim.name);
+        if let Some(detail) = Ledger::recover(&dir)?.violation(per_tenant_tasklets) {
+            return Self::invariant(sc, "crash-resume", format!("post-resume audit: {detail}"));
         }
 
         let tenants = reference

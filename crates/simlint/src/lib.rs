@@ -540,11 +540,11 @@ fn walk_dir(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// All in-scope library files under `<root>/crates`, sorted.
-pub fn collect_files(root: &Path) -> Result<Vec<(String, PathBuf)>, LintError> {
-    let crates_dir = root.join("crates");
+/// Every file under `<root>/crates` whose `/`-joined repo-relative path
+/// passes `keep`, sorted.
+fn files_where(root: &Path, keep: fn(&str) -> bool) -> io::Result<Vec<(String, PathBuf)>> {
     let mut all = Vec::new();
-    walk_dir(&crates_dir, &mut all)?;
+    walk_dir(&root.join("crates"), &mut all)?;
     let mut files: Vec<(String, PathBuf)> = all
         .into_iter()
         .filter_map(|path| {
@@ -555,11 +555,16 @@ pub fn collect_files(root: &Path) -> Result<Vec<(String, PathBuf)>, LintError> {
                 .map(|c| c.as_os_str().to_string_lossy())
                 .collect::<Vec<_>>()
                 .join("/");
-            in_scope(&rel).then_some((rel, path))
+            keep(&rel).then_some((rel, path))
         })
         .collect();
     files.sort();
     Ok(files)
+}
+
+/// All in-scope library files under `<root>/crates`, sorted.
+pub fn collect_files(root: &Path) -> Result<Vec<(String, PathBuf)>, LintError> {
+    Ok(files_where(root, in_scope)?)
 }
 
 /// Lint the whole workspace under `root`. Findings are sorted by
@@ -574,6 +579,31 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, LintError> {
     findings
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Ok(findings)
+}
+
+// ---- code size ---------------------------------------------------------------
+
+/// Lines of `source` before its first `#[cfg(test)]` — all of them when
+/// it has none.
+fn count_non_test_lines(source: &str) -> usize {
+    source
+        .lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .count()
+}
+
+/// Non-test lines of every `crates/*/src/**/*.rs` file under `root` (bin
+/// targets included), sorted by path.
+pub fn non_test_lines(root: &Path) -> Result<Vec<(String, usize)>, LintError> {
+    let crate_src = |rel: &str| rel.ends_with(".rs") && rel.split('/').nth(2) == Some("src");
+    files_where(root, crate_src)?
+        .into_iter()
+        .map(|(rel, path)| {
+            let source = fs::read_to_string(&path)
+                .map_err(|e| LintError::data(format!("reading {rel}: {e}")))?;
+            Ok((rel, count_non_test_lines(&source)))
+        })
+        .collect()
 }
 
 // ---- baseline --------------------------------------------------------------
@@ -714,8 +744,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Render findings as a JSON report object (`--format json`).
-pub fn render_json(findings: &[Finding]) -> String {
+/// Render findings as a JSON report object (`--format json`), closed by
+/// the non-test line counts from [`non_test_lines`] and their total.
+pub fn render_json(findings: &[Finding], non_test: &[(String, usize)]) -> String {
     let items: Vec<String> = findings
         .iter()
         .map(|f| {
@@ -733,12 +764,19 @@ pub fn render_json(findings: &[Finding]) -> String {
         })
         .collect();
     let fresh = findings.iter().filter(|f| !f.baselined).count();
+    let files: Vec<String> = non_test
+        .iter()
+        .map(|(file, lines)| format!("  {{\"file\":\"{}\",\"lines\":{lines}}}", json_escape(file)))
+        .collect();
+    let total: usize = non_test.iter().map(|f| f.1).sum();
     format!(
         "{{\"schema\":\"simlint/2\",\"findings\":[\n{}\n],\
-         \"summary\":{{\"new\":{},\"baselined\":{}}}}}\n",
+         \"summary\":{{\"new\":{},\"baselined\":{}}},\
+         \"non_test_lines\":{{\"total\":{total},\"files\":[\n{}\n]}}}}\n",
         items.join(",\n"),
         fresh,
-        findings.len() - fresh
+        findings.len() - fresh,
+        files.join(",\n")
     )
 }
 
@@ -1139,12 +1177,28 @@ mod tests {
             "crates/simkit/src/x.rs",
             "fn f(m: &HashMap<u64, u64>) { g(\"x\"); }\n",
         );
-        let json = render_json(&findings);
+        let lines = [
+            ("crates/a/src/lib.rs".to_string(), 30),
+            ("crates/b/src/x.rs".to_string(), 12),
+        ];
+        let json = render_json(&findings, &lines);
         assert!(json.starts_with("{\"schema\":\"simlint/2\""));
         assert!(json.contains("\"rule\":\"no-unordered-iteration\""));
         assert!(json.contains("\"line\":1"));
         assert!(json.contains("\"col\":"));
         assert!(json.contains("\"summary\":{\"new\":1,\"baselined\":0}"));
+        assert!(json.contains("\"non_test_lines\":{\"total\":42,"));
+        assert!(json.contains("{\"file\":\"crates/b/src/x.rs\",\"lines\":12}"));
+        assert!(json.ends_with("]}}\n"));
+    }
+
+    #[test]
+    fn non_test_lines_stop_at_the_test_module() {
+        assert_eq!(count_non_test_lines(""), 0);
+        assert_eq!(count_non_test_lines("fn a() {}\nfn b() {}\n"), 2);
+        let src = "fn a() {}\n\n#[cfg(test)]\nmod tests {}\n#[cfg(test)]\n";
+        assert_eq!(count_non_test_lines(src), 2);
+        assert_eq!(count_non_test_lines("    #[cfg(test)]\nfn a() {}\n"), 0);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! ```text
 //! cargo run -p simlint                         # report, exit 0
 //! cargo run -p simlint -- --check              # exit 1 on non-baselined findings
-//! cargo run -p simlint -- --format json        # machine-readable report
+//! cargo run -p simlint -- --format json        # machine-readable report,
+//!                                              # with non-test line counts
 //! cargo run -p simlint -- --explain <rule>     # why a rule exists
 //! cargo run -p simlint -- --write-baseline     # regenerate simlint.baseline
 //! ```
@@ -21,8 +22,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use simlint::{
-    apply_baseline, lint_workspace, parse_baseline, render_baseline, render_human, render_json,
-    ErrorKind, LintError, Rule,
+    apply_baseline, lint_workspace, non_test_lines, parse_baseline, render_baseline, render_human,
+    render_json, ErrorKind, LintError, Rule,
 };
 
 const BASELINE_FILE: &str = "simlint.baseline";
@@ -142,7 +143,7 @@ fn run() -> Result<bool, LintError> {
     }
 
     if json {
-        print!("{}", render_json(&findings));
+        print!("{}", render_json(&findings, &non_test_lines(&root)?));
     } else {
         print!("{}", render_human(&findings));
     }

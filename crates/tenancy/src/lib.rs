@@ -35,7 +35,7 @@ use serde::Serialize;
 use simkit::fault::CrashSite;
 use simkit::prelude::*;
 use simkit::rng::SimRng;
-use simkit::trace::Trace;
+use simkit::trace::{fnv1a, Trace};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -588,10 +588,6 @@ struct TenantTraceRecord {
 
 /// FNV-1a over the serialised per-tenant trace.
 fn trace_digest(report: &RunReport) -> u64 {
-    let mut dead_letter_units = 0u64;
-    for d in &report.dead_letters {
-        dead_letter_units += d.units;
-    }
     let record = TenantTraceRecord {
         tasks_completed: report.tasks_completed,
         tasks_failed: report.tasks_failed,
@@ -603,7 +599,7 @@ fn trace_digest(report: &RunReport) -> u64 {
         cpu_hours: report.accounting.cpu,
         merged_files: report.merged_files.clone(),
         dashboard: report.dashboard.clone(),
-        dead_letter_units,
+        dead_letter_units: report.dead_letters.iter().map(|d| d.units).sum(),
         concurrency: report.timeline.concurrency(),
         completions: report.timeline.completions(),
         failures: report.timeline.failures(),
@@ -615,15 +611,6 @@ fn trace_digest(report: &RunReport) -> u64 {
     // from a serialiser bug and then digests would still be consistent.
     let _ = trace.write_jsonl(&mut buf);
     fnv1a(&buf)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

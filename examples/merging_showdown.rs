@@ -92,7 +92,7 @@ fn main() {
         );
     }
     let outputs: Vec<(TaskId, u64)> = (0..60).map(|i| (TaskId(i), 64 * 1024)).collect();
-    let planner = MergePlanner::new(1024 * 1024); // 1 MiB targets
+    let planner = MergePlanner::new(MergeMode::Hadoop, 1024 * 1024); // 1 MiB targets
     let groups = planner.plan_full(&outputs);
     println!(
         "  {} small files → {} merge groups",

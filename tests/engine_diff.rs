@@ -19,7 +19,7 @@ use lobster::monitor::Accounting;
 use lobster::workflow::Workflow;
 use serde::Serialize;
 use simkit::time::{SimDuration, SimTime};
-use simkit::trace::Trace;
+use simkit::trace::{fnv1a, Trace};
 use simkit::EngineKind;
 use simnet::outage::{Outage, OutageSchedule};
 
@@ -41,16 +41,6 @@ struct RunTraceRecord {
     completions: Vec<f64>,
     failures: Vec<f64>,
     efficiency: Vec<f64>,
-}
-
-/// FNV-1a over the serialised trace bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Key report fields compared directly (on top of the byte comparison) so

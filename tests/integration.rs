@@ -18,7 +18,7 @@ use lobster::tasksize::{simulate, TaskSizeConfig};
 use lobster::workflow::Workflow;
 use serde::Serialize;
 use simkit::time::{SimDuration, SimTime};
-use simkit::trace::Trace;
+use simkit::trace::{fnv1a, Trace};
 use simnet::outage::OutageSchedule;
 use std::sync::Arc;
 use std::time::Duration;
@@ -134,16 +134,6 @@ fn same_seed_runs_serialise_to_identical_traces() {
         completions: Vec<f64>,
         failures: Vec<f64>,
         efficiency: Vec<f64>,
-    }
-
-    /// FNV-1a over the serialised trace bytes.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
     }
 
     let run_once = || {
@@ -338,7 +328,7 @@ fn db_recovery_then_real_merge() {
         for (id, bytes) in &outputs {
             hdfs.put_bytes(&format!("/out_{}.root", id.0), vec![1u8; *bytes as usize]);
         }
-        let planner = MergePlanner::new(4_000);
+        let planner = MergePlanner::new(MergeMode::Hadoop, 4_000);
         let groups = planner.plan_full(&outputs);
         let named: Vec<(String, Vec<String>)> = groups
             .iter()

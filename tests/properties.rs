@@ -2,7 +2,7 @@
 //! invariants that the whole reproduction leans on.
 
 use lobster::db::LobsterDb;
-use lobster::merge::MergePlanner;
+use lobster::merge::{MergeMode, MergePlanner};
 use proptest::prelude::*;
 use simkit::queue::Server;
 use simkit::rng::SimRng;
@@ -22,7 +22,7 @@ proptest! {
     ) {
         let outputs: Vec<(TaskId, u64)> =
             sizes.iter().enumerate().map(|(i, &s)| (TaskId(i as u64), s)).collect();
-        let groups = MergePlanner::new(target).plan_full(&outputs);
+        let groups = MergePlanner::new(MergeMode::Sequential, target).plan_full(&outputs);
         let covered: usize = groups.iter().map(|g| g.len()).sum();
         prop_assert_eq!(covered, outputs.len());
         let mut seen = std::collections::HashSet::new();
