@@ -449,12 +449,11 @@ fn get_inputs(r: &mut Reader<'_>) -> io::Result<MergeInputs> {
     Ok(out)
 }
 
-/// One shard snapshot frame, borrowed in encoding order. Compaction fills
-/// it straight from the db's slabs; a [`ShardSnap`] fills it when a
-/// decoded snapshot record is re-encoded. The filtered row lists are
-/// walked twice — once to count them for the length prefix, once to
-/// encode them — so no row is copied on the way to the frame.
-pub(crate) struct ShardFrame<'a, R, T, O, L> {
+/// The head of a shard snapshot record: everything before its task rows,
+/// borrowed from the workflow entry. The rows, the outputs and the ledger
+/// follow, each list count first; compaction writes them as separate
+/// parts of one frame, so the counts are given, not counted here.
+pub(crate) struct ShardHead<'a, R> {
     pub wf: u32,
     pub name: &'a str,
     pub total: u64,
@@ -463,48 +462,54 @@ pub(crate) struct ShardFrame<'a, R, T, O, L> {
     pub returned: R,
     pub done: u64,
     pub dead: u64,
-    /// `(id, tasklets, state, attempts)` of each task row.
-    pub tasks: T,
-    /// `(task, bytes, done_seq)` of each output row.
-    pub outputs: O,
-    /// `(seq, letter)` of each of the shard's ledger entries.
-    pub dead_letters: L,
+    /// How many task rows follow.
+    pub tasks: u64,
 }
 
-/// Append a `ShardSnapshot` record — the only encoder of that frame kind.
-pub(crate) fn put_shard_snapshot<'a, R, T, O, L>(buf: &mut Vec<u8>, s: ShardFrame<'a, R, T, O, L>)
-where
-    R: ExactSizeIterator<Item = u64>,
-    T: Iterator<Item = (TaskId, &'a [u64], TaskState, u32)> + Clone,
-    O: Iterator<Item = (TaskId, u64, u64)> + Clone,
-    L: Iterator<Item = (u64, &'a DeadLetter)> + Clone,
-{
+/// Append a `ShardSnapshot` record's head, through its task-row count.
+pub(crate) fn put_shard_head<R: ExactSizeIterator<Item = u64>>(
+    buf: &mut Vec<u8>,
+    h: ShardHead<'_, R>,
+) {
     buf.push(tag::SHARD_SNAPSHOT);
-    put_u32(buf, s.wf);
-    put_str(buf, s.name);
-    put_u64(buf, s.total);
-    put_u64(buf, s.cursor);
-    put_tasklets(buf, s.returned);
-    put_u64(buf, s.done);
-    put_u64(buf, s.dead);
-    put_u64(buf, s.tasks.clone().count() as u64);
-    for (id, tasklets, state, attempts) in s.tasks {
-        put_task(buf, id);
-        put_tasklets(buf, tasklets.iter().copied());
-        put_state(buf, state);
-        put_u32(buf, attempts);
-    }
-    put_u64(buf, s.outputs.clone().count() as u64);
-    for (task, bytes, done_seq) in s.outputs {
-        put_task(buf, task);
-        put_u64(buf, bytes);
-        put_u64(buf, done_seq);
-    }
-    put_ledger(buf, s.dead_letters);
+    put_u32(buf, h.wf);
+    put_str(buf, h.name);
+    put_u64(buf, h.total);
+    put_u64(buf, h.cursor);
+    put_tasklets(buf, h.returned);
+    put_u64(buf, h.done);
+    put_u64(buf, h.dead);
+    put_u64(buf, h.tasks);
+}
+
+/// One task row of a shard snapshot. A row's bytes depend on the row
+/// alone (absolute id, tasklet deltas restart per row), so rows encoded
+/// at different times concatenate into the same list.
+pub(crate) fn put_task_row(
+    buf: &mut Vec<u8>,
+    id: TaskId,
+    tasklets: &[u64],
+    state: TaskState,
+    attempts: u32,
+) {
+    put_task(buf, id);
+    put_tasklets(buf, tasklets.iter().copied());
+    put_state(buf, state);
+    put_u32(buf, attempts);
+}
+
+/// One output row of a shard snapshot; self-contained like a task row.
+pub(crate) fn put_output_row(buf: &mut Vec<u8>, task: TaskId, bytes: u64, done_seq: u64) {
+    put_task(buf, task);
+    put_u64(buf, bytes);
+    put_u64(buf, done_seq);
 }
 
 /// `(seq, letter)` ledger entries, count first.
-fn put_ledger<'a>(buf: &mut Vec<u8>, letters: impl Iterator<Item = (u64, &'a DeadLetter)> + Clone) {
+pub(crate) fn put_ledger<'a>(
+    buf: &mut Vec<u8>,
+    letters: impl Iterator<Item = (u64, &'a DeadLetter)> + Clone,
+) {
     put_u64(buf, letters.clone().count() as u64);
     for (seq, l) in letters {
         put_u64(buf, seq);
@@ -558,8 +563,9 @@ fn get_shard_snap(r: &mut Reader<'_>) -> io::Result<ShardSnap> {
     })
 }
 
-/// The `master.wal` snapshot frame, borrowed in encoding order — the
-/// master-slice counterpart of [`ShardFrame`].
+/// The `master.wal` snapshot frame, borrowed in encoding order and
+/// encoded whole: a merged output names its file by rank, and a new merge
+/// can shift the ranks, so no part of it stays fixed.
 pub(crate) struct MasterFrame<'a, F, G, M, W, L> {
     /// `(name, bytes)` of each merged file, in name order.
     pub merged_files: F,
@@ -733,24 +739,29 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
             put_letter(buf, letter);
             put_u64(buf, *seq);
         }
-        Record::ShardSnapshot { state: s } => put_shard_snapshot(
-            buf,
-            ShardFrame {
-                wf: s.wf,
-                name: &s.name,
-                total: s.total,
-                cursor: s.cursor,
-                returned: s.returned.iter().copied(),
-                done: s.done,
-                dead: s.dead,
-                tasks: s
-                    .tasks
-                    .iter()
-                    .map(|t| (t.id, t.tasklets.as_slice(), t.state, t.attempts)),
-                outputs: s.outputs.iter().map(|o| (o.task, o.bytes, o.done_seq)),
-                dead_letters: s.dead_letters.iter().map(|(seq, l)| (*seq, l)),
-            },
-        ),
+        Record::ShardSnapshot { state: s } => {
+            put_shard_head(
+                buf,
+                ShardHead {
+                    wf: s.wf,
+                    name: &s.name,
+                    total: s.total,
+                    cursor: s.cursor,
+                    returned: s.returned.iter().copied(),
+                    done: s.done,
+                    dead: s.dead,
+                    tasks: s.tasks.len() as u64,
+                },
+            );
+            for t in &s.tasks {
+                put_task_row(buf, t.id, &t.tasklets, t.state, t.attempts);
+            }
+            put_u64(buf, s.outputs.len() as u64);
+            for o in &s.outputs {
+                put_output_row(buf, o.task, o.bytes, o.done_seq);
+            }
+            put_ledger(buf, s.dead_letters.iter().map(|(seq, l)| (*seq, l)));
+        }
         Record::MasterSnapshot { state: m } => put_master_snapshot(
             buf,
             MasterFrame {

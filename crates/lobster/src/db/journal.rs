@@ -30,7 +30,9 @@
 //! `TaskDone` was lost.
 
 use super::codec::{self, Reader};
-use super::{crc32, Record, FRAME_HEADER_LEN, HEADER_LEN, MAGIC, MAX_RECORD_LEN};
+use super::{
+    crc32, crc32_combine, crc32_extend, Record, FRAME_HEADER_LEN, HEADER_LEN, MAGIC, MAX_RECORD_LEN,
+};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -85,12 +87,21 @@ fn header_bytes(tag: u32) -> [u8; HEADER_LEN] {
     h
 }
 
-/// Frame header for `payload`: `u32` LE length, then `u32` LE CRC-32.
-fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+/// Frame header of a `len`-byte payload with CRC-32 `crc`: `u32` LE
+/// length, then `u32` LE CRC-32.
+fn frame_header(len: usize, crc: u32) -> [u8; FRAME_HEADER_LEN] {
     let mut h = [0u8; FRAME_HEADER_LEN];
-    h[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    h[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    h[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    h[4..].copy_from_slice(&crc.to_le_bytes());
     h
+}
+
+/// One piece of a snapshot record handed to [`Journal::compact`]: its
+/// bytes and, when the caller keeps it, their CRC-32 (computed here
+/// otherwise).
+pub(crate) struct Part<'a> {
+    pub bytes: &'a [u8],
+    pub crc: Option<u32>,
 }
 
 /// Room at the front of a commit buffer for the frame header and the
@@ -98,6 +109,10 @@ fn frame_header(payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
 /// right-aligned against the records, so a batch goes to disk as one
 /// write of one buffer with no copy.
 const COMMIT_PREFIX: usize = FRAME_HEADER_LEN + codec::MAX_VARINT_LEN;
+
+/// A snapshot frame's record count: its batch is one record, and the
+/// varint of 1 is this single byte.
+const ONE_RECORD: u8 = 1;
 
 fn read_u32_le(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
@@ -242,20 +257,15 @@ struct ShardFile {
     buf_records: u64,
     /// Records appended since the last snapshot frame, buffered or not.
     tail_records: u64,
-    /// Payload bytes of the file's last snapshot frame, which sizes the
-    /// next one. A file attached after a restart starts from its intact
-    /// length, an upper bound on the snapshot it holds.
-    snapshot_len: usize,
 }
 
 impl ShardFile {
-    fn new(file: File, tail_records: u64, snapshot_len: usize) -> ShardFile {
+    fn new(file: File, tail_records: u64) -> ShardFile {
         ShardFile {
             file,
             buf: vec![0; COMMIT_PREFIX],
             buf_records: 0,
             tail_records,
-            snapshot_len,
         }
     }
 
@@ -281,7 +291,6 @@ impl std::fmt::Debug for ShardFile {
         f.debug_struct("ShardFile")
             .field("buf_records", &self.buf_records)
             .field("tail_records", &self.tail_records)
-            .field("snapshot_len", &self.snapshot_len)
             .finish()
     }
 }
@@ -327,10 +336,7 @@ impl Journal {
                 f.set_len(scan.valid_len)?;
             }
             let file = OpenOptions::new().append(true).open(&path)?;
-            files.insert(
-                scan.tag,
-                ShardFile::new(file, scan.tail_records, scan.valid_len as usize),
-            );
+            files.insert(scan.tag, ShardFile::new(file, scan.tail_records));
         }
         let mut j = Journal {
             dir: dir.to_path_buf(),
@@ -351,7 +357,7 @@ impl Journal {
         f.write_all(&header_bytes(tag))?;
         drop(f);
         let file = OpenOptions::new().append(true).open(&path)?;
-        self.files.insert(tag, ShardFile::new(file, 0, 0));
+        self.files.insert(tag, ShardFile::new(file, 0));
         Ok(())
     }
 
@@ -387,7 +393,8 @@ impl Journal {
             let frame_at = COMMIT_PREFIX - n - FRAME_HEADER_LEN;
             let payload_at = frame_at + FRAME_HEADER_LEN;
             sf.buf[payload_at..COMMIT_PREFIX].copy_from_slice(&count[..n]);
-            let header = frame_header(&sf.buf[payload_at..]);
+            let payload = &sf.buf[payload_at..];
+            let header = frame_header(payload.len(), crc32(payload));
             sf.buf[frame_at..payload_at].copy_from_slice(&header);
             sf.file.write_all(&sf.buf[frame_at..])?;
             sf.clear();
@@ -409,37 +416,37 @@ impl Journal {
         self.pending_bytes = 0;
     }
 
-    /// An empty snapshot payload for `tag`: the batch's record count
-    /// (one), with room for the snapshot record the caller appends. Sized
-    /// from the file's last snapshot plus an eighth, so a growing
-    /// snapshot is encoded without regrowing the buffer.
-    pub fn snapshot_payload(&self, tag: u32) -> Vec<u8> {
-        let last = self.files.get(&tag).map_or(0, |sf| sf.snapshot_len);
-        let mut payload = Vec::with_capacity(1 + last + last / 8);
-        codec::put_u64(&mut payload, 1);
-        payload
-    }
-
     /// Rewrite one shard file as header + a single snapshot frame (tmp
-    /// file, fsync, atomic rename). `payload` is a
-    /// [`Journal::snapshot_payload`] with one snapshot record appended.
-    /// Commits all pending buffers first: a snapshot is a durability
-    /// boundary, and the master snapshot's state may depend on shard
-    /// records that were still buffered.
-    pub fn compact(&mut self, tag: u32, payload: &[u8]) -> io::Result<()> {
+    /// file, fsync, atomic rename). The frame's payload is a batch of one
+    /// record, the concatenation of `record`'s parts: they are written in
+    /// order, never gathered into one buffer, and the frame CRC is folded
+    /// from theirs. Commits all pending buffers first: a snapshot is a
+    /// durability boundary, and the master snapshot's state may depend on
+    /// shard records that were still buffered.
+    pub fn compact(&mut self, tag: u32, record: &[Part<'_>]) -> io::Result<()> {
         self.commit()?;
         if !self.files.contains_key(&tag) {
             self.create_file(tag)?;
         }
-        let mut head = [0u8; HEADER_LEN + FRAME_HEADER_LEN];
+        let (mut len, mut crc) = (1, crc32(&[ONE_RECORD]));
+        for p in record {
+            len += p.bytes.len();
+            crc = match p.crc {
+                Some(c) => crc32_combine(crc, c, p.bytes.len()),
+                None => crc32_extend(crc, p.bytes),
+            };
+        }
+        let mut head = [ONE_RECORD; HEADER_LEN + FRAME_HEADER_LEN + 1];
         head[..HEADER_LEN].copy_from_slice(&header_bytes(tag));
-        head[HEADER_LEN..].copy_from_slice(&frame_header(payload));
+        head[HEADER_LEN..HEADER_LEN + FRAME_HEADER_LEN].copy_from_slice(&frame_header(len, crc));
         let path = self.dir.join(file_name(tag));
         let tmp = self.dir.join(format!("{}.waltmp", file_name(tag)));
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&head)?;
-            f.write_all(payload)?;
+            for p in record {
+                f.write_all(p.bytes)?;
+            }
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
@@ -448,7 +455,6 @@ impl Journal {
         let sf = self.files.get_mut(&tag).expect("shard file exists");
         sf.file = file;
         sf.tail_records = 0;
-        sf.snapshot_len = payload.len();
         Ok(())
     }
 

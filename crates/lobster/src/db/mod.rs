@@ -26,7 +26,10 @@
 //! thresholds are crossed, on snapshot compaction, at [`LobsterDb::flush`]
 //! (the driver's crash-point boundary), and on drop. Compaction is
 //! per-file: a shard compacts into one [`Record::ShardSnapshot`] frame,
-//! `master.wal` into one [`Record::MasterSnapshot`] frame.
+//! `master.wal` into one [`Record::MasterSnapshot`] frame. A shard frame
+//! reuses the encoded bytes of the rows no transition can change any more
+//! ([`SnapshotCache`]), so its cost follows the rows changed since the
+//! last compaction.
 //!
 //! Anything else at the journal path — a regular file, whatever its
 //! contents — is rejected with [`io::ErrorKind::InvalidData`] and left
@@ -40,8 +43,8 @@ pub use journal::journal_bytes;
 use crate::config::JournalPolicy;
 use crate::monitor::Accounting;
 use crate::wrapper::SegmentReport;
-use codec::{MasterFrame, ShardFrame};
-use journal::{GroupCommit, Journal, ScannedFile, MASTER_TAG};
+use codec::{MasterFrame, ShardHead};
+use journal::{GroupCommit, Journal, Part, ScannedFile, MASTER_TAG};
 use serde::{Deserialize, Serialize};
 use simkit::time::SimDuration;
 use std::collections::{BTreeMap, BTreeSet};
@@ -66,8 +69,12 @@ const MAX_RECORD_LEN: u32 = 256 * 1024 * 1024;
 /// analysis task ids (which count up from zero).
 pub const MERGE_ID_BASE: u64 = 1_000_000_000;
 
-/// Slice-by-8 lookup tables for CRC-32 (IEEE 802.3, reflected polynomial
-/// `0xEDB8_8320`). `CRC32_TABLES[0]` is the classic bytewise table;
+/// The CRC-32 polynomial (IEEE 802.3), bit-reflected: bit 31 holds the
+/// coefficient of x^0.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables for CRC-32 (reflected polynomial
+/// [`CRC32_POLY`]). `CRC32_TABLES[0]` is the classic bytewise table;
 /// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
 /// bytes, so eight table lookups fold in eight input bytes at once.
 const CRC32_TABLES: [[u32; 256]; 8] = {
@@ -78,7 +85,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
+                CRC32_POLY ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -100,10 +107,16 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 of `data`: eight bytes per step, then bytewise for the tail.
+/// CRC-32 of `data`.
 fn crc32(data: &[u8]) -> u32 {
+    crc32_extend(0, data)
+}
+
+/// CRC-32 of `m ‖ data`, given `crc = crc32(m)`: eight bytes per step,
+/// then bytewise for the tail.
+fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    let mut c = !crc;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -119,7 +132,60 @@ fn crc32(data: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    !c
+}
+
+/// `a(x)·b(x) mod P(x)` for polynomials in the reflected bit order of
+/// [`CRC32_POLY`].
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        m >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC32_POLY
+        } else {
+            b >> 1
+        };
+    }
+    p
+}
+
+/// `CRC32_X2N[k]` is x^(2^k) mod P(x). The multiplicative order of x
+/// modulo the CRC-32 polynomial divides 2^32 − 1, so x^(2^32) = x and the
+/// sequence repeats every 32 entries.
+const CRC32_X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 of `a ‖ b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and
+/// `len_b = b.len()`, without reading either (zlib's method). Appending
+/// `len_b` bytes multiplies `a`'s remainder by x^(8·len_b) mod P(x), built
+/// from the squares in [`CRC32_X2N`] in O(log len_b); the pre- and
+/// post-conditioning cancel, leaving a plain xor with `crc_b`.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    let mut shift = 1u32 << 31; // x^0
+    let mut n = len_b;
+    let mut k = 3; // a byte is 2^3 bits
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = multmodp(CRC32_X2N[k % 32], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    multmodp(shift, crc_a) ^ crc_b
 }
 
 /// Lifecycle of a task in the DB.
@@ -135,6 +201,16 @@ pub enum TaskState {
     Lost,
     /// Dead-lettered: retry budget exhausted, withdrawn from the run.
     Withdrawn,
+}
+
+impl TaskState {
+    /// `Done`, `Lost` or `Withdrawn`: no transition leaves these.
+    fn is_terminal(self) -> bool {
+        matches!(
+            self,
+            TaskState::Done | TaskState::Lost | TaskState::Withdrawn
+        )
+    }
 }
 
 /// A produced output file. Merge state (merged-into, withdrawn) lives in
@@ -383,6 +459,153 @@ pub struct LobsterDb {
     /// Attempt reports replayed since the last snapshot, for the driver
     /// to rebuild monitor state on resume.
     replayed_attempts: Vec<SegmentReport>,
+    /// What compaction keeps between snapshots.
+    snap: SnapshotCache,
+}
+
+/// Encoded snapshot rows that no transition can change any more, with
+/// their count and CRC-32. Only ever appended to.
+#[derive(Debug, Default)]
+struct FrozenRows {
+    bytes: Vec<u8>,
+    count: u64,
+    crc: u32,
+}
+
+/// Growth step of a [`FrozenRows`] buffer.
+const FROZEN_GROWTH: usize = 64 * 1024;
+
+impl FrozenRows {
+    /// Append `n` rows, encoded in `rows`.
+    fn append(&mut self, rows: &[u8], n: u64) {
+        if self.bytes.capacity() - self.bytes.len() < rows.len() {
+            // Grow in steps, not by doubling: the bytes are held for the
+            // life of the db, and so is any slack.
+            self.bytes.reserve_exact(rows.len().max(FROZEN_GROWTH));
+        }
+        self.bytes.extend_from_slice(rows);
+        self.count += n;
+        self.crc = crc32_extend(self.crc, rows);
+    }
+
+    fn part(&self) -> Part<'_> {
+        Part {
+            bytes: &self.bytes,
+            crc: Some(self.crc),
+        }
+    }
+}
+
+/// The frozen prefix of one shard's snapshot. Every row of the shard
+/// below slab index `upto` is `Done`, `Lost` or `Withdrawn`, states no
+/// transition leaves, so its encoding — and its output row's — is fixed.
+#[derive(Debug, Default)]
+struct FrozenShard {
+    upto: usize,
+    rows: FrozenRows,
+    outputs: FrozenRows,
+}
+
+/// Compaction state derived from the slabs and never journaled: it
+/// starts empty at open and recover, and a snapshot install clears it.
+#[derive(Debug, Default)]
+struct SnapshotCache {
+    /// Frozen prefixes, by workflow index.
+    shards: Vec<FrozenShard>,
+    /// Task rows encoded by shard snapshots, frozen or live; the tests
+    /// bound it.
+    #[cfg_attr(not(test), allow(dead_code))]
+    rows_encoded: u64,
+}
+
+impl SnapshotCache {
+    /// Workflow `wf`'s snapshot record as parts in frame order: head,
+    /// frozen rows, live rows and the output count, frozen outputs, live
+    /// outputs and the ledger. The frozen prefix first advances over the
+    /// rows that became terminal; only the rows after it are encoded
+    /// into `buf`, so the cost follows the rows changed since the last
+    /// snapshot, not the rows the shard ever held.
+    fn shard_record<'s>(
+        &'s mut self,
+        db: &LobsterDb,
+        wf: u32,
+        buf: &'s mut Vec<u8>,
+    ) -> [Part<'s>; 5] {
+        let ix = wf as usize;
+        if self.shards.len() <= ix {
+            self.shards.resize_with(ix + 1, FrozenShard::default);
+        }
+        let shard = &mut self.shards[ix];
+        let rows_from = |from: usize| {
+            db.tasks[from..]
+                .iter()
+                .zip(from..)
+                .filter_map(move |(row, i)| row.as_ref().filter(|t| t.wf == wf).map(|t| (i, t)))
+        };
+        let output = |i: usize| db.outputs.get(i).and_then(Option::as_ref);
+
+        // Rows of other workflows are stepped over, and so are empty slots:
+        // ids below `next_task` that no task took, which none will now.
+        let from = shard.upto;
+        let upto = rows_from(from)
+            .find(|(_, t)| !t.state.is_terminal())
+            .map_or(db.tasks.len(), |(i, _)| i);
+        let newly = || rows_from(from).take_while(move |(i, _)| *i < upto);
+        buf.clear();
+        let mut n = 0;
+        for (i, t) in newly() {
+            codec::put_task_row(buf, TaskId(i as u64), &t.tasklets, t.state, t.attempts);
+            n += 1;
+        }
+        shard.rows.append(buf, n);
+        buf.clear();
+        let mut n_out = 0;
+        for o in newly().filter_map(|(i, _)| output(i)) {
+            codec::put_output_row(buf, o.task, o.bytes, o.done_seq);
+            n_out += 1;
+        }
+        shard.outputs.append(buf, n_out);
+        shard.upto = upto;
+
+        buf.clear();
+        let mut live = 0;
+        let mut live_out = 0;
+        for (i, t) in rows_from(upto) {
+            codec::put_task_row(buf, TaskId(i as u64), &t.tasklets, t.state, t.attempts);
+            live += 1;
+            live_out += u64::from(output(i).is_some());
+        }
+        codec::put_u64(buf, shard.outputs.count + live_out);
+        let outputs_at = buf.len();
+        for o in rows_from(upto).filter_map(|(i, _)| output(i)) {
+            codec::put_output_row(buf, o.task, o.bytes, o.done_seq);
+        }
+        codec::put_ledger(buf, db.ledger_of(wf));
+        let head_at = buf.len();
+        let entry = &db.workflows[ix];
+        codec::put_shard_head(
+            buf,
+            ShardHead {
+                wf,
+                name: &entry.name,
+                total: entry.state.total_tasklets,
+                cursor: entry.state.cursor,
+                returned: entry.state.returned.iter().copied(),
+                done: entry.state.done,
+                dead: entry.state.dead,
+                tasks: shard.rows.count + live,
+            },
+        );
+        self.rows_encoded += n + live;
+        let fresh = |bytes| Part { bytes, crc: None };
+        [
+            fresh(&buf[head_at..]),
+            shard.rows.part(),
+            fresh(&buf[..outputs_at]),
+            shard.outputs.part(),
+            fresh(&buf[outputs_at..head_at]),
+        ]
+    }
 }
 
 impl LobsterDb {
@@ -410,6 +633,7 @@ impl LobsterDb {
             journal: None,
             snapshot_every: None,
             replayed_attempts: Vec::new(),
+            snap: SnapshotCache::default(),
         }
     }
 
@@ -515,22 +739,37 @@ impl LobsterDb {
     }
 
     /// Rewrite one shard file as header + one snapshot frame (tmp file,
-    /// fsync, atomic rename). The frame is encoded straight from the
-    /// slabs into its payload buffer. Pending group-commit buffers are
-    /// flushed first — a snapshot is a durability boundary.
+    /// fsync, atomic rename). A shard's frame is written in parts, its
+    /// frozen rows straight from the cache; the master's is encoded whole
+    /// from the maps. Pending group-commit buffers are flushed first — a
+    /// snapshot is a durability boundary.
     fn compact_file(&mut self, tag: u32) -> io::Result<()> {
-        let Some(j) = self.journal.as_ref() else {
+        if self.journal.is_none() {
             return Ok(());
-        };
-        let mut payload = j.snapshot_payload(tag);
-        if tag == MASTER_TAG {
-            self.put_master_snapshot(&mut payload);
-        } else {
-            self.put_shard_snapshot(tag, &mut payload);
         }
-        self.journal
+        let mut buf = Vec::new();
+        if tag == MASTER_TAG {
+            self.put_master_snapshot(&mut buf);
+            let whole = [Part {
+                bytes: &buf,
+                crc: None,
+            }];
+            return self
+                .journal
+                .as_mut()
+                .map_or(Ok(()), |j| j.compact(tag, &whole));
+        }
+        // The cache is borrowed out while it encodes from the slabs.
+        // simlint::allow(journal-coverage): derived compaction cache, never journaled
+        let mut snap = std::mem::take(&mut self.snap);
+        let parts = snap.shard_record(self, tag, &mut buf);
+        let written = self
+            .journal
             .as_mut()
-            .map_or(Ok(()), |j| j.compact(tag, &payload))
+            .map_or(Ok(()), |j| j.compact(tag, &parts));
+        // simlint::allow(journal-coverage): derived compaction cache, never journaled
+        self.snap = snap;
+        written
     }
 
     /// Commit all buffered journal records to disk — the explicit
@@ -788,41 +1027,6 @@ impl LobsterDb {
         }
     }
 
-    /// Append workflow `wf`'s shard snapshot record to `buf`, read off
-    /// the workflow entry, the `tasks`/`outputs` slabs and the ledger.
-    fn put_shard_snapshot(&self, wf: u32, buf: &mut Vec<u8>) {
-        let entry = &self.workflows[wf as usize];
-        codec::put_shard_snapshot(
-            buf,
-            ShardFrame {
-                wf,
-                name: &entry.name,
-                total: entry.state.total_tasklets,
-                cursor: entry.state.cursor,
-                returned: entry.state.returned.iter().copied(),
-                done: entry.state.done,
-                dead: entry.state.dead,
-                tasks: self.tasks.iter().enumerate().filter_map(move |(ix, row)| {
-                    row.as_ref().filter(|t| t.wf == wf).map(|t| {
-                        (
-                            TaskId(ix as u64),
-                            t.tasklets.as_slice(),
-                            t.state,
-                            t.attempts,
-                        )
-                    })
-                }),
-                outputs: self
-                    .outputs
-                    .iter()
-                    .flatten()
-                    .filter(move |o| self.task_row(o.task).is_some_and(|t| t.wf == wf))
-                    .map(|o| (o.task, o.bytes, o.done_seq)),
-                dead_letters: self.ledger_of(wf),
-            },
-        );
-    }
-
     /// Append the master snapshot record to `buf`, read off the merge
     /// maps, the ledger, the accounting and the counters.
     fn put_master_snapshot(&self, buf: &mut Vec<u8>) {
@@ -870,8 +1074,10 @@ impl LobsterDb {
     }
 
     /// Install one shard snapshot — additive: shard files replay in
-    /// ascending index order, each installing its own slice.
+    /// ascending index order, each installing its own slice. The rows it
+    /// replaces may sit in a frozen prefix, so the cache is dropped.
     fn install_shard(&mut self, s: ShardSnap) {
+        self.snap.shards.clear();
         let entry = WorkflowEntry {
             name: s.name,
             state: WorkflowState {
@@ -1232,13 +1438,24 @@ impl LobsterDb {
 
     /// Journal a task landing in the dead-letter ledger. For analysis
     /// tasks the task is withdrawn and its tasklets counted dead; for
-    /// merges the group is dissolved and its inputs withdrawn.
-    pub fn record_dead_letter(&mut self, letter: DeadLetter) {
+    /// merges the group is dissolved and its inputs withdrawn. An analysis
+    /// task that is already `Done`, `Lost` or `Withdrawn` is rejected:
+    /// those rows never change again, which lets compaction keep their
+    /// encoding.
+    pub fn record_dead_letter(&mut self, letter: DeadLetter) -> Result<(), RejectedTransition> {
+        if letter.category != Category::Merge
+            && self
+                .task_state(letter.task)
+                .is_some_and(TaskState::is_terminal)
+        {
+            return Err(self.reject(letter.task, "record_dead_letter"));
+        }
         let seq = self.dead_letters.len() as u64;
         self.apply_and_log(Record::DeadLettered {
             letter: Box::new(letter),
             seq,
         });
+        Ok(())
     }
 
     /// Task state lookup.
@@ -1995,11 +2212,63 @@ mod tests {
         db.register_workflow("wf", 2);
         let t = db.create_task("wf", 2).unwrap();
         db.mark_running(t).unwrap();
-        db.record_dead_letter(letter(t.0, Category::Analysis, 2));
+        db.record_dead_letter(letter(t.0, Category::Analysis, 2))
+            .unwrap();
         assert_eq!(db.task_state(t), Some(TaskState::Withdrawn));
         assert!(db.mark_running(t).is_err());
         assert!(db.mark_done(t, 1).is_err());
         assert!(db.mark_lost(t).is_err());
+    }
+
+    #[test]
+    fn illegal_dead_letter_on_done_task() {
+        let mut db = LobsterDb::in_memory();
+        db.register_workflow("wf", 2);
+        let t = db.create_task("wf", 2).unwrap();
+        db.mark_running(t).unwrap();
+        db.mark_done(t, 10).unwrap();
+        let err = db
+            .record_dead_letter(letter(t.0, Category::Analysis, 2))
+            .unwrap_err();
+        assert_eq!(err.from, Some(TaskState::Done));
+        assert_eq!(db.task_state(t), Some(TaskState::Done), "state unchanged");
+        assert_eq!(db.dead_tasklets("wf"), 0, "not counted dead");
+        assert!(db.dead_letters().is_empty(), "ledger unchanged");
+        assert_eq!(db.counters().rejected_transitions, 1);
+    }
+
+    #[test]
+    fn illegal_dead_letter_on_lost_task() {
+        let mut db = LobsterDb::in_memory();
+        db.register_workflow("wf", 2);
+        let t = db.create_task("wf", 2).unwrap();
+        db.mark_running(t).unwrap();
+        db.mark_lost(t).unwrap();
+        let err = db
+            .record_dead_letter(letter(t.0, Category::Analysis, 2))
+            .unwrap_err();
+        assert_eq!(err.from, Some(TaskState::Lost));
+        assert_eq!(db.task_state(t), Some(TaskState::Lost));
+        assert_eq!(db.dead_tasklets("wf"), 0);
+        assert_eq!(db.unassigned_tasklets("wf"), 2, "tasklets stay returned");
+        assert!(db.dead_letters().is_empty());
+    }
+
+    #[test]
+    fn illegal_dead_letter_on_withdrawn_task() {
+        let mut db = LobsterDb::in_memory();
+        db.register_workflow("wf", 2);
+        let t = db.create_task("wf", 2).unwrap();
+        db.mark_running(t).unwrap();
+        db.record_dead_letter(letter(t.0, Category::Analysis, 2))
+            .unwrap();
+        let err = db
+            .record_dead_letter(letter(t.0, Category::Analysis, 2))
+            .unwrap_err();
+        assert_eq!(err.from, Some(TaskState::Withdrawn));
+        assert_eq!(db.dead_tasklets("wf"), 2, "not counted dead twice");
+        assert_eq!(db.dead_letters().len(), 1);
+        assert_eq!(db.accounting().dead_lettered, 1);
     }
 
     #[test]
@@ -2040,7 +2309,8 @@ mod tests {
         db.register_workflow("wf", 6);
         let t = db.create_task("wf", 3).unwrap();
         db.mark_running(t).unwrap();
-        db.record_dead_letter(letter(t.0, Category::Analysis, 3));
+        db.record_dead_letter(letter(t.0, Category::Analysis, 3))
+            .unwrap();
         assert_eq!(db.dead_tasklets("wf"), 3);
         assert_eq!(db.done_tasklets("wf"), 0);
         assert_eq!(db.dead_letters().len(), 1);
@@ -2064,7 +2334,8 @@ mod tests {
             category: Category::Merge,
             units: 2,
             ..letter(g.0, Category::Merge, 2)
-        });
+        })
+        .unwrap();
         assert!(db.open_merge_groups().is_empty(), "group dissolved");
         assert!(db.unmerged_outputs().is_empty(), "inputs withdrawn");
         assert!(db.done_order_unmerged().is_empty());
@@ -2086,7 +2357,8 @@ mod tests {
             db.mark_done(t, 1000).unwrap();
             let u = db.create_task("wf", 4).unwrap();
             db.mark_running(u).unwrap();
-            db.record_dead_letter(letter(u.0, Category::Analysis, 4));
+            db.record_dead_letter(letter(u.0, Category::Analysis, 4))
+                .unwrap();
             (
                 serde_json::to_string(db.accounting()).unwrap(),
                 db.dead_letters().to_vec(),
@@ -2444,7 +2716,7 @@ mod tests {
     // ---- snapshot oracles -----------------------------------------------
 
     /// The shard slice of workflow `wf` as a decoded snapshot, built row
-    /// by row on its own: the oracle for [`LobsterDb::put_shard_snapshot`].
+    /// by row on its own: the oracle for [`SnapshotCache::shard_record`].
     fn shard_snap(db: &LobsterDb, wf: u32) -> ShardSnap {
         let entry = &db.workflows[wf as usize];
         ShardSnap {
@@ -2530,20 +2802,24 @@ mod tests {
         }
     }
 
-    /// The live encoder's bytes for `tag`'s snapshot record.
+    /// The live encoder's bytes for `tag`'s snapshot record, a shard's
+    /// from a cold cache.
     fn snapshot_bytes(db: &LobsterDb, tag: u32) -> Vec<u8> {
         let mut buf = Vec::new();
         if tag == MASTER_TAG {
             db.put_master_snapshot(&mut buf);
         } else {
-            db.put_shard_snapshot(tag, &mut buf);
+            let mut parts = Vec::new();
+            for part in SnapshotCache::default().shard_record(db, tag, &mut parts) {
+                buf.extend_from_slice(part.bytes);
+            }
         }
         buf
     }
 
-    /// The oracle's bytes for `tag`'s snapshot record.
-    fn oracle_bytes(db: &LobsterDb, tag: u32) -> Vec<u8> {
-        let rec = if tag == MASTER_TAG {
+    /// The oracle's snapshot record for `tag`.
+    fn oracle_record(db: &LobsterDb, tag: u32) -> Record {
+        if tag == MASTER_TAG {
             Record::MasterSnapshot {
                 state: Box::new(master_snap(db)),
             }
@@ -2551,9 +2827,13 @@ mod tests {
             Record::ShardSnapshot {
                 state: Box::new(shard_snap(db, tag)),
             }
-        };
+        }
+    }
+
+    /// The oracle's bytes for `tag`'s snapshot record.
+    fn oracle_bytes(db: &LobsterDb, tag: u32) -> Vec<u8> {
         let mut buf = Vec::new();
-        codec::encode_record(&mut buf, &rec);
+        codec::encode_record(&mut buf, &oracle_record(db, tag));
         buf
     }
 
@@ -2641,7 +2921,8 @@ mod tests {
             let t = db.create_task(wf, 2).unwrap();
             db.mark_running(t).unwrap();
             db.record_attempt(&report(t.0, false));
-            db.record_dead_letter(letter(t.0, Category::Analysis, 2));
+            db.record_dead_letter(letter(t.0, Category::Analysis, 2))
+                .unwrap();
         }
         let lost = db.create_task("alpha", 4).unwrap();
         db.mark_running(lost).unwrap();
@@ -2657,7 +2938,8 @@ mod tests {
         db.mark_merged(None, &[a1], "m-aa.root", 300).unwrap();
         db.create_merge_group(&[(a2, 500), (b1, 400)]).unwrap();
         let dead = db.create_merge_group(&[(b2, 600)]).unwrap();
-        db.record_dead_letter(letter(dead.0, Category::Merge, 1));
+        db.record_dead_letter(letter(dead.0, Category::Merge, 1))
+            .unwrap();
         db
     }
 
@@ -2800,5 +3082,245 @@ mod tests {
             drop(j);
             cleanup(&path);
         }
+    }
+
+    /// Deterministic draws for the seeded db tests (64-bit LCG, high
+    /// bits).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+
+        fn pick<T: Copy>(&mut self, v: &[T]) -> Option<T> {
+            if v.is_empty() {
+                None
+            } else {
+                Some(v[self.below(v.len() as u64) as usize])
+            }
+        }
+    }
+
+    /// One seeded journaled operation on a two-workflow db: task
+    /// creation and every task transition, dead letters on both sides,
+    /// merge groups, merges and attempts.
+    fn mutate(db: &mut LobsterDb, rng: &mut Lcg) {
+        let live = [db.ready_tasks(), db.running_tasks()].concat();
+        match rng.below(12) {
+            0..=2 => {
+                let wf = ["alpha", "beta"][rng.below(2) as usize];
+                if db.unassigned_tasklets(wf) > 0 {
+                    db.create_task(wf, 1 + rng.below(3) as u32);
+                }
+            }
+            3 | 4 => {
+                if let Some(t) = rng.pick(&live) {
+                    db.mark_running(t).unwrap();
+                }
+            }
+            5 | 6 => {
+                if let Some(t) = rng.pick(&db.running_tasks()) {
+                    db.mark_done(t, 100 + rng.below(1000)).unwrap();
+                }
+            }
+            7 => {
+                if let Some(t) = rng.pick(&live) {
+                    db.mark_lost(t).unwrap();
+                }
+            }
+            8 => {
+                if let Some(t) = rng.pick(&live) {
+                    let units = db.task_tasklets(t).map_or(0, |v| v.len() as u64);
+                    db.record_dead_letter(letter(t.0, Category::Analysis, units))
+                        .unwrap();
+                }
+            }
+            9 => {
+                let outs = db.done_order_unmerged();
+                let k = outs.len().min(1 + rng.below(3) as usize);
+                if k == 0 {
+                } else if rng.below(2) == 0 {
+                    db.create_merge_group(&outs[..k]).unwrap();
+                } else {
+                    let ids: Vec<TaskId> = outs[..k].iter().map(|o| o.0).collect();
+                    let name = format!("m{}.root", db.merged_file_count());
+                    db.mark_merged(None, &ids, &name, 1).unwrap();
+                }
+            }
+            10 => {
+                if let Some((g, inputs)) = db.open_merge_groups().first() {
+                    if rng.below(3) == 0 {
+                        let l = letter(g.0, Category::Merge, inputs.len() as u64);
+                        db.record_dead_letter(l).unwrap();
+                    } else {
+                        let ids: Vec<TaskId> = inputs.iter().map(|o| o.0).collect();
+                        let name = format!("m{}.root", db.merged_file_count());
+                        db.mark_merged(Some(*g), &ids, &name, 1).unwrap();
+                    }
+                }
+            }
+            _ => {
+                let task = rng.pick(&live).map_or(0, |t| t.0);
+                db.record_attempt(&report(task, rng.below(2) == 0));
+            }
+        }
+    }
+
+    /// The files compacted by the last operation, each checked against
+    /// the oracle frame of the current state: a compacted file holds one
+    /// snapshot frame and nothing after it. `tails` carries every file's
+    /// replay tail from one call to the next.
+    fn check_compactions(db: &LobsterDb, path: &Path, tails: &mut BTreeMap<u32, u64>) -> Vec<u32> {
+        let j = db.journal.as_ref().unwrap();
+        let mut compacted = Vec::new();
+        for tag in j.tags() {
+            let tail = j.tail_records(tag);
+            if tails.insert(tag, tail).is_some_and(|before| before > tail) {
+                let file = if tag == MASTER_TAG {
+                    master_file(path)
+                } else {
+                    shard_file(path, tag)
+                };
+                assert_eq!(
+                    std::fs::read(file).unwrap(),
+                    expected_file(tag, &[&[oracle_record(db, tag)]]),
+                    "tag {tag:#x}"
+                );
+                compacted.push(tag);
+            }
+        }
+        compacted
+    }
+
+    /// Part-wise shard frames over a frozen prefix are the oracle's frames
+    /// byte for byte at every compaction of a seeded run, and stay so
+    /// after a restart rebuilds the cache from cold.
+    #[test]
+    fn compaction_frames_match_the_oracle() {
+        let path = tmp_path("frozen-oracle");
+        let policy = JournalPolicy {
+            snapshot_every_records: Some(16),
+            group_commit_records: 4,
+            ..JournalPolicy::never()
+        };
+        let mut rng = Lcg(0x5EED);
+        let mut run = |db: &mut LobsterDb, steps: usize| {
+            let mut tails = BTreeMap::new();
+            check_compactions(db, &path, &mut tails);
+            let mut compacted = BTreeSet::new();
+            for _ in 0..steps {
+                mutate(db, &mut rng);
+                compacted.extend(check_compactions(db, &path, &mut tails));
+            }
+            assert_eq!(compacted.len(), 3, "every file compacted: {compacted:?}");
+            assert!(
+                db.snap
+                    .shards
+                    .iter()
+                    .all(|s| s.rows.count > 0 && s.outputs.count > 0),
+                "both shards froze rows and outputs"
+            );
+        };
+        {
+            let mut db = LobsterDb::open_with_policy(&path, &policy).unwrap();
+            db.register_workflow("alpha", 1000);
+            db.register_workflow("beta", 1000);
+            run(&mut db, 1200);
+            db.flush();
+            assert_same_state(&db, &LobsterDb::recover(&path).unwrap());
+        }
+        let recovered = LobsterDb::recover(&path).unwrap();
+        let mut db = LobsterDb::open_with_policy(&path, &policy).unwrap();
+        assert!(db.snap.shards.is_empty(), "the cache starts cold");
+        assert_same_state(&recovered, &db);
+        run(&mut db, 1200);
+        db.flush();
+        let states: BTreeSet<String> = db
+            .tasks
+            .iter()
+            .flatten()
+            .map(|t| format!("{:?}", t.state))
+            .collect();
+        assert_eq!(states.len(), 5, "every TaskState reached: {states:?}");
+        assert_same_state(&db, &LobsterDb::recover(&path).unwrap());
+        drop(db);
+        cleanup(&path);
+    }
+
+    /// A compaction encodes the rows past the frozen prefix, and each row
+    /// once more when it freezes: over `n` tasks finishing in order with
+    /// at most `window` in flight, that is at most `n + compactions ×
+    /// window` rows, where re-encoding the whole shard would cost the sum
+    /// of the shard's sizes over all compactions.
+    #[test]
+    fn compaction_encodes_only_the_rows_past_the_frozen_prefix() {
+        let path = tmp_path("frozen-count");
+        let policy = JournalPolicy {
+            snapshot_every_records: Some(16),
+            ..JournalPolicy::never()
+        };
+        let (n, in_flight) = (600u64, 4);
+        let mut db = LobsterDb::open_with_policy(&path, &policy).unwrap();
+        db.register_workflow("wf", n);
+        let mut tails = BTreeMap::new();
+        let mut compactions = 0;
+        let mut flying = std::collections::VecDeque::new();
+        for i in 0..n {
+            let t = db.create_task("wf", 1).unwrap();
+            compactions += check_compactions(&db, &path, &mut tails).len() as u64;
+            db.mark_running(t).unwrap();
+            compactions += check_compactions(&db, &path, &mut tails).len() as u64;
+            flying.push_back(t);
+            if flying.len() > in_flight {
+                let done = flying.pop_front().unwrap();
+                if i % 5 == 0 {
+                    db.mark_lost(done).unwrap();
+                } else {
+                    db.mark_done(done, 10).unwrap();
+                }
+                compactions += check_compactions(&db, &path, &mut tails).len() as u64;
+            }
+        }
+        // Rows from the oldest in-flight task on: the tasks in flight and
+        // the one just created.
+        let window = in_flight as u64 + 1;
+        assert!(compactions > 100, "{compactions} compactions");
+        assert!(
+            db.snap.rows_encoded <= n + compactions * window,
+            "{} rows encoded over {compactions} compactions of {n} tasks",
+            db.snap.rows_encoded
+        );
+        drop(db);
+        cleanup(&path);
+    }
+
+    /// Combining the CRCs of the two sides of every split point gives the
+    /// CRC of the whole, empty sides included.
+    #[test]
+    fn crc32_combine_matches_bytewise_reference() {
+        for (seed, len) in [(1, 0), (2, 1), (3, 9), (4, 64), (5, 300)] {
+            let buf = seeded_bytes(seed, len);
+            let whole = crc32_bytewise(&buf);
+            for cut in 0..=len {
+                let (a, b) = buf.split_at(cut);
+                let (ca, cb) = (crc32_bytewise(a), crc32_bytewise(b));
+                assert_eq!(crc32_combine(ca, cb, b.len()), whole, "len {len} cut {cut}");
+                assert_eq!(crc32_extend(ca, b), whole, "len {len} cut {cut}");
+            }
+        }
+        // A frame folded from parts the way `Journal::compact` folds them.
+        let buf = seeded_bytes(6, 1 << 16);
+        let (a, rest) = buf.split_at(1000);
+        let (b, c) = rest.split_at(40_000);
+        let folded = crc32_extend(crc32_combine(crc32(a), crc32(b), b.len()), c);
+        assert_eq!(folded, crc32_bytewise(&buf));
+        // The squares of x repeat every 32 entries, as `crc32_combine`'s
+        // index wrap assumes.
+        assert_eq!(multmodp(CRC32_X2N[31], CRC32_X2N[31]), CRC32_X2N[0]);
     }
 }

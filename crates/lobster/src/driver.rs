@@ -1632,14 +1632,16 @@ impl ClusterSim {
                     .unwrap_or(0)
             }
         };
-        self.db.record_dead_letter(DeadLetter {
+        if let Err(e) = self.db.record_dead_letter(DeadLetter {
             task: id,
             category: t.category,
             code,
             attempts: t.attempt,
             units,
             at: now,
-        });
+        }) {
+            debug_assert!(false, "dead-lettered a task the db rejects: {e}");
+        }
         self.timeline.record_dead_letter(now);
         // Withdrawing work can complete the analysis phase, which in turn
         // unblocks the merge planner's flush conditions.
