@@ -33,9 +33,9 @@ fi
 # Determinism & robustness lints (rules 1-9: wall-clock, ambient RNG,
 # unordered iteration, library panics, WAL expects, journal coverage,
 # float accumulation order, shared mutability, wildcard event matches).
-# The JSON report is committed alongside the BENCH_*.json artifacts so
-# lint drift shows up in review; the --check gate then fails on any
-# finding not in simlint.baseline.
+# The JSON report is committed alongside the bench baselines so lint
+# drift shows up in review; the --check gate then fails on any finding
+# not in simlint.baseline.
 echo
 echo "==> cargo run -q -p simlint -- --format json > SIMLINT_report.json"
 cargo run -q -p simlint -- --format json > SIMLINT_report.json
@@ -49,10 +49,17 @@ step cargo test --workspace -q
 # Building it refreshes perfbench/Cargo.lock while that file is stale.
 step cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# Bench gates (crates/bench/src/gate.rs). Each bench_* binary compares
+# its result with the committed baseline of the same name before anything
+# is written: every counter and digest exactly, the timing keys it names
+# at most 1.2x worse (best of 5 runs). The result always goes to
+# target/bench/<name>.json and the committed file is never written. To
+# re-baseline, copy the result over the committed file and log the copy
+# in CHANGES.md.
+
 # Release-mode cluster-run smoke: fixed seed, failure-policy machinery
-# included; writes throughput numbers to BENCH_cluster.json plus the
-# ops-plane snapshot METRICS_cluster.json. Schema drift against the
-# committed snapshot fails the gate; value drift prints a notice.
+# included. Gates the ops-plane snapshot METRICS_cluster.json and prints
+# throughput.
 step cargo run -q --release -p lobster-bench --bin bench_cluster
 
 # Render the ops dashboard straight from the committed snapshot — proves
@@ -61,24 +68,20 @@ step cargo run -q --release -p lobster-bench --bin bench_cluster
 step cargo run -q --release -p lobster --bin lobster -- \
     dashboard METRICS_cluster.json --out DASHBOARD_cluster.html
 
-# Scale-campaign sweep (2.5k -> 20k cores with fault windows). Rewrites
-# BENCH_scale.json and fails if any sweep point loses more than 20% of
-# the committed baseline's events/sec.
+# Scale-campaign sweep (2.5k -> 20k cores with fault windows) against
+# BENCH_scale.json; events/sec is the timing key.
 step cargo run -q --release -p lobster-bench --bin bench_scale
 
 # Recovery bench: WAL v3 snapshot+tail vs full replay, and operating
-# journal bytes per record. Compares against the committed
-# BENCH_recovery.json before writing anything, then writes its result to
-# target/bench/BENCH_recovery.json (the committed file changes only with
-# `-- --bless`). Fails on more than 7.8 journal bytes per record, a
-# resume over 100 ms, a >20% resume-latency regression vs the baseline,
-# or any change in either leg's journal bytes or the record count.
+# journal bytes per record, against BENCH_recovery.json; the resume time
+# is the timing key. Also fails on more than 7.8 journal bytes per
+# record, a resume over 100 ms, or a snapshot+tail resume that does not
+# beat full replay.
 step cargo run -q --release -p lobster-bench --bin bench_recovery
 
-# Multi-tenant sweep (1 -> 100 masters over one shared pool). Rewrites
-# BENCH_multitenant.json; fails if any contended point's Jain fairness
-# drops below 0.9 or any point loses more than 20% of the committed
-# baseline's events/sec.
+# Multi-tenant sweep (1 -> 100 masters over one shared pool) against
+# BENCH_multitenant.json; events/sec is the timing key. Also fails if any
+# contended point's Jain fairness drops below 0.9.
 step cargo run -q --release -p lobster-bench --bin bench_multitenant
 
 # Crash-consistency smoke: the sampled crash-point matrix (boundary,
@@ -89,10 +92,21 @@ step cargo test --release -q -p lobster --test crash_matrix
 
 # Chaos-sweep conformance: every scenarios/*.json library file plus ten
 # seeded random fault schedules, each checked against the four global
-# invariants (no hang, conservation, determinism, crash/resume).
-# Rewrites CONFORMANCE_chaos.json; invariant violations fail the gate,
-# trace-digest drift against the committed baseline only prints a notice.
+# invariants (no hang, conservation, determinism, crash/resume), then
+# gated against CONFORMANCE_chaos.json (every trace digest exactly).
 step cargo run -q --release -p lobster-bench --bin bench_chaos
+
+# Figure outputs: every docs/outputs/*.txt regenerates byte for byte from
+# its fig*/ablation* binary into target/bench/outputs/.
+figures() {
+    mkdir -p target/bench/outputs
+    for committed in docs/outputs/*.txt; do
+        out="target/bench/outputs/$(basename "$committed")"
+        cargo run -q --release -p lobster-bench --bin "$(basename "$committed" .txt)" >"$out"
+        cmp "$committed" "$out"
+    done
+}
+step figures
 
 echo
 echo "ci.sh: all gates passed"

@@ -5,11 +5,12 @@
 //! (no hang, accounting conservation, trace determinism, crash/resume
 //! convergence). Any invariant violation fails the run (exit 1).
 //!
-//! Results go to `CONFORMANCE_chaos.json`. If a committed baseline is
-//! present, a trace digest that changed since the baseline prints a
-//! notice — digests legitimately move when simulation behaviour changes
-//! on purpose, so drift is surfaced for review rather than gated.
+//! [`gate::check`] then compares the reports with the committed
+//! `CONFORMANCE_chaos.json`, every counter and trace digest exactly. A
+//! digest that moves on purpose is re-baselined by copying
+//! `target/bench/CONFORMANCE_chaos.json` over the committed file.
 
+use lobster_bench::gate;
 use scenario::chaos::chaos_scenario;
 use scenario::runner::{ConformanceReport, MultiTenantConformance, ScenarioRunner};
 use scenario::spec::Scenario;
@@ -30,19 +31,8 @@ struct ChaosBench {
     chaos: Vec<ConformanceReport>,
 }
 
-fn scenarios_dir() -> PathBuf {
-    // ci.sh runs from the repo root; fall back to the source-relative path
-    // so `cargo run -p lobster-bench --bin bench_chaos` works from anywhere.
-    let local = PathBuf::from("scenarios");
-    if local.is_dir() {
-        local
-    } else {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
-    }
-}
-
 fn library_files() -> Vec<PathBuf> {
-    let dir = scenarios_dir();
+    let dir = gate::repo_root().join("scenarios");
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|e| e.expect("readable dir entry").path())
@@ -52,45 +42,7 @@ fn library_files() -> Vec<PathBuf> {
     files
 }
 
-/// `(scenario, trace_digest)` pairs from a committed baseline, if one
-/// exists and parses.
-fn read_baseline(path: &str) -> Vec<(String, String)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(v) = serde_json::from_str::<serde_json::Value>(&text) else {
-        eprintln!("bench_chaos: ignoring unparseable baseline {path}");
-        return Vec::new();
-    };
-    use serde_json::Value;
-    let mut out = Vec::new();
-    let Some(top) = v.as_object() else {
-        return out;
-    };
-    for section in ["library", "chaos"] {
-        let reports = Value::get_field(top, section)
-            .and_then(|p| match p {
-                Value::Array(items) => Some(items.as_slice()),
-                _ => None,
-            })
-            .unwrap_or(&[]);
-        for r in reports {
-            let Some(fields) = r.as_object() else {
-                continue;
-            };
-            let name = Value::get_field(fields, "scenario").and_then(Value::as_str);
-            let digest = Value::get_field(fields, "trace_digest").and_then(Value::as_str);
-            if let (Some(name), Some(digest)) = (name, digest) {
-                out.push((name.to_string(), digest.to_string()));
-            }
-        }
-    }
-    out
-}
-
 fn main() {
-    let out_path = "CONFORMANCE_chaos.json";
-    let baseline = read_baseline(out_path);
     let runner = ScenarioRunner::new("bench-chaos").expect("temp dir is writable");
     let mut failed = false;
 
@@ -172,39 +124,16 @@ fn main() {
         chaos,
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write(out_path, &json).expect("writable cwd");
     println!(
         "== bench_chaos ({} library + {} multi-tenant scenarios, {} chaos seeds) ==",
         result.library.len(),
         result.multitenant.len(),
         result.chaos.len()
     );
-
-    // Digest drift against the committed baseline is informational: the
-    // invariants above are the gate, digests just make drift reviewable.
-    for (name, old_digest) in &baseline {
-        let new = result
-            .library
-            .iter()
-            .chain(&result.chaos)
-            .find(|r| &r.scenario == name);
-        match new {
-            Some(r) if &r.trace_digest != old_digest => {
-                eprintln!(
-                    "bench_chaos: NOTICE digest drift for {name}: {old_digest} -> {} \
-                     (commit the refreshed {out_path} if intentional)",
-                    r.trace_digest
-                );
-            }
-            None => {
-                eprintln!("bench_chaos: NOTICE baseline scenario {name} no longer in the sweep");
-            }
-            _ => {}
-        }
-    }
-
     if failed {
-        eprintln!("bench_chaos: invariant violations above — failing the gate");
+        eprintln!("bench_chaos: FAIL invariant violations above");
+    }
+    if !gate::check("CONFORMANCE_chaos", &json, &[]) || failed {
         std::process::exit(1);
     }
 }

@@ -1,15 +1,11 @@
-//! Cluster-run smoke benchmark — the `ci.sh` performance gate.
+//! Cluster-run smoke benchmark — the `ci.sh` ops-plane gate.
 //!
 //! Runs one fixed-seed, fixed-size cluster simulation (including a retry
 //! policy and an injected WAN fault window, so the failure-handling paths
-//! are part of the measured work) and writes throughput numbers to
-//! `BENCH_cluster.json` for run-to-run comparison.
-//!
-//! The run also lowers into the ops-plane metrics snapshot,
-//! `METRICS_cluster.json`. Against the committed baseline, *schema*
-//! drift (a structural name appearing or vanishing, or an unparseable
-//! baseline) fails the gate; *value* drift only prints a notice —
-//! mirroring how `CONFORMANCE_chaos.json` treats trace digests.
+//! are part of the measured work), lowers it into the ops-plane metrics
+//! snapshot and gates that through [`gate::check`] against the committed
+//! `METRICS_cluster.json`: every value exactly. Throughput numbers are
+//! printed, not committed.
 
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
@@ -19,24 +15,11 @@ use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
-use serde::Serialize;
+use lobster_bench::gate;
 use simkit::time::{SimDuration, SimTime};
 use simnet::outage::{Outage, OutageSchedule};
 
 const SEED: u64 = 2025;
-
-#[derive(Serialize)]
-struct BenchResult {
-    seed: u64,
-    tasks_completed: u64,
-    merges_completed: u64,
-    tasks_failed: u64,
-    dead_letters: u64,
-    events: u64,
-    wall_secs: f64,
-    tasks_per_sec: f64,
-    events_per_sec: f64,
-}
 
 fn setup() -> (LobsterConfig, SimParams, Vec<Workflow>) {
     let mut cfg = LobsterConfig::default();
@@ -97,45 +80,6 @@ fn setup() -> (LobsterConfig, SimParams, Vec<Workflow>) {
     (cfg, params, vec![wf])
 }
 
-/// Gate `METRICS_cluster.json` against the committed baseline: schema
-/// drift fails, value drift is a notice. Returns `false` on schema drift.
-fn gate_metrics_baseline(path: &str, snap: &opsplane::MetricsSnapshot) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        eprintln!("bench_cluster: no committed {path}; writing a fresh baseline");
-        return true;
-    };
-    let old = match opsplane::MetricsSnapshot::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bench_cluster: FAIL committed {path} does not parse: {e}");
-            return false;
-        }
-    };
-    let (old_sig, new_sig) = (old.schema_signature(), snap.schema_signature());
-    if old_sig != new_sig {
-        eprintln!("bench_cluster: FAIL metrics schema drift vs committed {path}:");
-        for name in &old_sig {
-            if !new_sig.contains(name) {
-                eprintln!("  - removed {name}");
-            }
-        }
-        for name in &new_sig {
-            if !old_sig.contains(name) {
-                eprintln!("  - added   {name}");
-            }
-        }
-        eprintln!("  (bump opsplane::SCHEMA and recommit {path} if intentional)");
-        return false;
-    }
-    if old.to_json() != snap.to_json() {
-        eprintln!(
-            "bench_cluster: NOTICE metrics value drift vs committed {path} \
-             (commit the refreshed snapshot if intentional)"
-        );
-    }
-    true
-}
-
 fn main() {
     let (cfg, params, wfs) = setup();
     let started = std::time::Instant::now();
@@ -146,34 +90,24 @@ fn main() {
         eprintln!("bench_cluster: run did not finish: {report:?}");
         std::process::exit(1);
     }
+    println!(
+        "== bench_cluster (seed {SEED}) == {} tasks ({} failed, {} dead-lettered), {} merges, \
+         {} events in {wall_secs:.3}s ({:.0} tasks/s, {:.0} events/s)",
+        report.tasks_completed,
+        report.tasks_failed,
+        report.dead_letters.len(),
+        report.merges_completed,
+        report.events_delivered,
+        report.tasks_completed as f64 / wall_secs,
+        report.events_delivered as f64 / wall_secs,
+    );
 
     let snap = lobster::ops::snapshot_from_run("bench_cluster", &cfg, &params, &report);
     if let Err(e) = snap.validate() {
         eprintln!("bench_cluster: snapshot failed validation: {e}");
         std::process::exit(1);
     }
-    let metrics_path = "METRICS_cluster.json";
-    let schema_ok = gate_metrics_baseline(metrics_path, &snap);
-    std::fs::write(metrics_path, snap.to_json()).expect("writable cwd");
-    if !schema_ok {
+    if !gate::check("METRICS_cluster", &snap.to_json(), &[]) {
         std::process::exit(1);
     }
-
-    let result = BenchResult {
-        seed: SEED,
-        tasks_completed: report.tasks_completed,
-        merges_completed: report.merges_completed,
-        tasks_failed: report.tasks_failed,
-        dead_letters: report.dead_letters.len() as u64,
-        events: report.events_delivered,
-        wall_secs,
-        tasks_per_sec: report.tasks_completed as f64 / wall_secs,
-        events_per_sec: report.events_delivered as f64 / wall_secs,
-    };
-    let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write("BENCH_cluster.json", &json).expect("writable cwd");
-
-    println!("== bench_cluster (seed {SEED}) ==");
-    println!("{json}");
-    eprintln!("[wall-clock {wall_secs:.3}s]");
 }

@@ -5,18 +5,21 @@
 //! campaign under equal fair-share weights, so Jain's index over
 //! weight-normalised delivered CPU should stay near 1 at every point.
 //!
-//! Two gates, applied after `BENCH_multitenant.json` is (re)written:
+//! Two gates:
 //!
 //! * **Fairness** — any contended point (≥2 tenants) whose Jain index
 //!   falls below 0.9 fails the run (exit 1).
-//! * **Throughput** — if a committed baseline was present, any point
-//!   whose aggregate events/sec regresses by more than 20% fails.
+//! * **Baseline** — [`gate::check`] against the committed
+//!   `BENCH_multitenant.json`: every counter (and the Jain index)
+//!   exactly, aggregate events/sec over the best of [`gate::REPEATS`]
+//!   runs within [`gate::MAX_SLOWDOWN`].
 
 use batchsim::arbiter::ArbiterConfig;
 use batchsim::pool::PoolConfig;
 use lobster::config::{LobsterConfig, WorkflowConfig};
 use lobster::driver::SimParams;
 use lobster::workflow::Workflow;
+use lobster_bench::gate::{self, Timed};
 use serde::Serialize;
 use simkit::time::SimDuration;
 use tenancy::{MultiTenant, TenancyConfig, TenantSpec};
@@ -24,15 +27,8 @@ use tenancy::{MultiTenant, TenancyConfig, TenantSpec};
 const SEED: u64 = 4097;
 const TASKLETS_PER_TENANT: u64 = 200;
 const SWEEP_TENANTS: [usize; 7] = [1, 2, 5, 10, 25, 50, 100];
-/// Runs per sweep point; the fastest wall time wins. Small points finish
-/// in milliseconds, where single-shot timing noise would flap the
-/// regression gate.
-const REPEATS: u32 = 5;
 /// Contended sweep points must keep Jain's index above this floor.
 const JAIN_FLOOR: f64 = 0.9;
-/// Fail the gate when a sweep point loses more than this fraction of its
-/// baseline events/sec.
-const MAX_REGRESSION: f64 = 0.20;
 
 #[derive(Serialize)]
 struct SweepPoint {
@@ -42,7 +38,6 @@ struct SweepPoint {
     jain_fairness: f64,
     tasks_completed: u64,
     events: u64,
-    wall_secs: f64,
     events_per_sec: f64,
 }
 
@@ -90,102 +85,62 @@ fn tenant(i: usize) -> TenantSpec {
     }
 }
 
-/// Baseline events/sec per tenant count from a committed
-/// BENCH_multitenant.json, if one exists and parses.
-fn read_baseline(path: &str) -> Vec<(usize, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(v) = serde_json::from_str::<serde_json::Value>(&text) else {
-        eprintln!("bench_multitenant: ignoring unparseable baseline {path}");
-        return Vec::new();
-    };
-    use serde_json::Value;
-    let num = |v: &Value| -> Option<f64> {
-        match *v {
-            Value::U64(n) => Some(n as f64),
-            Value::I64(n) => Some(n as f64),
-            Value::F64(x) => Some(x),
-            _ => None,
-        }
-    };
-    let mut out = Vec::new();
-    let points = v
-        .as_object()
-        .and_then(|fields| Value::get_field(fields, "points"))
-        .and_then(|p| match p {
-            Value::Array(items) => Some(items.as_slice()),
-            _ => None,
-        })
-        .unwrap_or(&[]);
-    for p in points {
-        let Some(fields) = p.as_object() else {
-            continue;
-        };
-        if let (Some(tenants), Some(eps)) = (
-            Value::get_field(fields, "tenants").and_then(&num),
-            Value::get_field(fields, "events_per_sec").and_then(&num),
-        ) {
-            out.push((tenants as usize, eps));
-        }
-    }
-    out
+/// The `n`-tenant point, ready to run.
+fn prepare(n: usize) -> MultiTenant {
+    let roster: Vec<TenantSpec> = (0..n).map(tenant).collect();
+    MultiTenant::new(coordinator(), roster).expect("valid roster")
 }
 
-fn main() {
-    let out_path = "BENCH_multitenant.json";
-    let baseline = read_baseline(out_path);
-
-    let mut points = Vec::new();
-    for &n in &SWEEP_TENANTS {
-        let mut report = None;
-        let mut wall_secs = f64::INFINITY;
-        for _ in 0..REPEATS {
-            let roster: Vec<TenantSpec> = (0..n).map(tenant).collect();
-            let mt = MultiTenant::new(coordinator(), roster).expect("valid roster");
-            let started = std::time::Instant::now();
-            let rep = mt.run().expect("in-memory run cannot fail on i/o");
-            let wall = started.elapsed().as_secs_f64().max(1e-9);
-            if wall < wall_secs {
-                wall_secs = wall;
-                report = Some(rep);
-            }
+/// Run the `n`-tenant point once and summarise it.
+fn run_point(n: usize, mt: MultiTenant) -> SweepPoint {
+    let report = mt.run().expect("in-memory run cannot fail on i/o");
+    for t in &report.tenants {
+        if t.report.finished_at.is_none() {
+            eprintln!(
+                "bench_multitenant: tenant {} of the {n}-tenant point did not finish",
+                t.name
+            );
+            std::process::exit(1);
         }
-        let report = report.expect("REPEATS >= 1");
-
-        for t in &report.tenants {
-            if t.report.finished_at.is_none() {
-                eprintln!(
-                    "bench_multitenant: tenant {} of the {n}-tenant point did not finish",
-                    t.name
-                );
-                std::process::exit(1);
-            }
-        }
-        let events: u64 = report
-            .tenants
-            .iter()
-            .map(|t| t.report.events_delivered)
-            .sum();
-        let tasks_completed: u64 = report
+    }
+    SweepPoint {
+        tenants: n,
+        tasklets_per_tenant: TASKLETS_PER_TENANT,
+        rounds: report.rounds,
+        jain_fairness: report.jain_fairness,
+        tasks_completed: report
             .tenants
             .iter()
             .map(|t| t.report.tasks_completed)
-            .sum();
-        let point = SweepPoint {
-            tenants: n,
-            tasklets_per_tenant: TASKLETS_PER_TENANT,
-            rounds: report.rounds,
-            jain_fairness: report.jain_fairness,
-            tasks_completed,
-            events,
-            wall_secs,
-            events_per_sec: events as f64 / wall_secs,
-        };
+            .sum(),
+        events: report
+            .tenants
+            .iter()
+            .map(|t| t.report.events_delivered)
+            .sum(),
+        events_per_sec: 0.0,
+    }
+}
+
+fn main() {
+    let mut ok = true;
+    let mut points = Vec::new();
+    for &n in &SWEEP_TENANTS {
+        let (wall_secs, mut point) = gate::best_of(|| prepare(n), |mt| run_point(n, mt));
+        point.events_per_sec = point.events as f64 / wall_secs;
         eprintln!(
             "[{n:>3} tenants] {:>8} events in {wall_secs:>7.3}s  ({:>9.0} ev/s, jain {:.4}, {} rounds)",
             point.events, point.events_per_sec, point.jain_fairness, point.rounds,
         );
+        // Equal weights must split the pool evenly wherever there is
+        // actual contention.
+        if n >= 2 && point.jain_fairness < JAIN_FLOOR {
+            eprintln!(
+                "bench_multitenant: FAIL unfair at {n} tenants: jain {:.4} < {JAIN_FLOOR}",
+                point.jain_fairness
+            );
+            ok = false;
+        }
         points.push(point);
     }
 
@@ -195,43 +150,10 @@ fn main() {
         points,
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write(out_path, &json).expect("writable cwd");
     println!("== bench_multitenant (seed {SEED}, {TASKLETS_PER_TENANT} tasklets/tenant) ==");
     println!("{json}");
-
-    // Fairness gate: equal weights must split the pool evenly wherever
-    // there is actual contention.
-    let mut failed = false;
-    for p in &result.points {
-        if p.tenants >= 2 && p.jain_fairness < JAIN_FLOOR {
-            eprintln!(
-                "bench_multitenant: UNFAIR at {} tenants: jain {:.4} < {JAIN_FLOOR}",
-                p.tenants, p.jain_fairness
-            );
-            failed = true;
-        }
-    }
-
-    // Regression gate: compare against the committed baseline (the file
-    // as it stood before this run overwrote it).
-    for (tenants, old_eps) in &baseline {
-        let Some(new) = result.points.iter().find(|p| p.tenants == *tenants) else {
-            continue;
-        };
-        let floor = old_eps * (1.0 - MAX_REGRESSION);
-        if new.events_per_sec < floor {
-            eprintln!(
-                "bench_multitenant: REGRESSION at {tenants} tenants: {:.0} ev/s < {:.0} ev/s \
-                 (baseline {:.0} − {:.0}%)",
-                new.events_per_sec,
-                floor,
-                old_eps,
-                MAX_REGRESSION * 100.0
-            );
-            failed = true;
-        }
-    }
-    if failed {
+    ok &= gate::check("BENCH_multitenant", &json, &[Timed::Rate("events_per_sec")]);
+    if !ok {
         std::process::exit(1);
     }
 }

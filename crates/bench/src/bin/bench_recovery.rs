@@ -15,18 +15,13 @@
 //! 1. snapshot+tail must beat full replay, and resume in < 100 ms;
 //! 2. the operating-policy journal must stay within
 //!    [`MAX_OPERATING_BYTES_PER_RECORD`] on-disk bytes per record;
-//! 3. against the committed `BENCH_recovery.json`, read and compared
-//!    before anything is written: both legs' journal bytes and the record
-//!    count must match it exactly (the run is seeded, so the journal is
-//!    byte-deterministic), and resume may be at most 20% slower.
+//! 3. [`gate::check`] against the committed `BENCH_recovery.json`: both
+//!    legs' journal bytes and every other counter exactly (the run is
+//!    seeded, so the journal is byte-deterministic), and the resume time
+//!    within [`gate::MAX_SLOWDOWN`].
 //!
-//! Each run writes its result to `target/bench/BENCH_recovery.json`. The
-//! committed baseline is rewritten only by `--bless`, which skips the
-//! baseline comparison (the absolute gates still apply):
-//!
-//! ```sh
-//! cargo run --release -p lobster-bench --bin bench_recovery [-- --bless]
-//! ```
+//! The run wall time, the full-replay time and the speedup are printed,
+//! not committed.
 
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
@@ -36,13 +31,13 @@ use lobster::db::{journal_bytes, LobsterDb};
 use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
+use lobster_bench::gate::{self, Timed};
 use serde::Serialize;
 use simkit::time::SimDuration;
 use std::path::PathBuf;
 
 const SEED: u64 = 2025;
 const SNAPSHOT_EVERY: u64 = 2048;
-const RECOVER_REPS: u32 = 5;
 /// Snapshot+tail resume must finish in under 100 ms.
 const RESUME_BUDGET_SECS: f64 = 0.100;
 /// Ceiling on the operating-policy journal's on-disk bytes per record
@@ -50,7 +45,12 @@ const RESUME_BUDGET_SECS: f64 = 0.100;
 const MAX_OPERATING_BYTES_PER_RECORD: f64 = 7.8;
 
 #[derive(Serialize)]
-struct RecoveryLeg {
+struct ReplayLeg {
+    journal_bytes: u64,
+}
+
+#[derive(Serialize)]
+struct SnapshotLeg {
     journal_bytes: u64,
     recover_secs: f64,
 }
@@ -62,15 +62,13 @@ struct BenchResult {
     events: u64,
     tasks_completed: u64,
     merges_completed: u64,
-    run_wall_secs: f64,
     /// Journal records the run wrote (all of them survive, uncompacted,
     /// in the full-replay leg).
     records: u64,
     /// snapshot_tail.journal_bytes / records.
     operating_bytes_per_record: f64,
-    full_replay: RecoveryLeg,
-    snapshot_tail: RecoveryLeg,
-    speedup: f64,
+    full_replay: ReplayLeg,
+    snapshot_tail: SnapshotLeg,
 }
 
 fn setup(journal: JournalPolicy) -> (LobsterConfig, SimParams, Vec<Workflow>) {
@@ -136,108 +134,19 @@ fn cleanup(path: &PathBuf) {
     std::fs::remove_dir_all(path).ok();
 }
 
-/// Cold-recover `path` `RECOVER_REPS` times; return the fastest pass and
-/// the last recovered db. Recovery reads only what is on disk — the
+/// Cold-recover `path` [`gate::REPEATS`] times; return the fastest pass
+/// and its recovered db. Recovery reads only what is on disk — the
 /// writing process's state is long dropped by the time this runs — so the
 /// timing is an honest reopen-from-disk, with a warm page cache (the
 /// steady-state restart case a master actually hits).
 fn time_recover(path: &PathBuf) -> (f64, LobsterDb) {
-    let mut best = f64::INFINITY;
-    let mut db = None;
-    for _ in 0..RECOVER_REPS {
-        let started = std::time::Instant::now();
-        let recovered = LobsterDb::recover(path).expect("journal recovers");
-        best = best.min(started.elapsed().as_secs_f64());
-        db = Some(recovered);
-    }
-    (best, db.expect("at least one rep"))
+    gate::best_of(
+        || (),
+        |()| LobsterDb::recover(path).expect("journal recovers"),
+    )
 }
-
-/// The gated fields of a committed BENCH_recovery.json.
-struct Baseline {
-    records: u64,
-    replay_bytes: u64,
-    snap_bytes: u64,
-    snap_secs: f64,
-}
-
-/// Read the committed baseline at `path`; `None` when it is missing or
-/// lacks a gated field.
-fn read_baseline(path: &str) -> Option<Baseline> {
-    use serde_json::Value;
-    let text = std::fs::read_to_string(path).ok()?;
-    let v: Value = serde_json::from_str(&text).ok()?;
-    let root = v.as_object()?;
-    let leg = |name: &str| Value::get_field(root, name)?.as_object();
-    let count = |fields: &[(String, Value)], key: &str| match Value::get_field(fields, key)? {
-        Value::U64(n) => Some(*n),
-        _ => None,
-    };
-    let snap = leg("snapshot_tail")?;
-    Some(Baseline {
-        records: count(root, "records")?,
-        replay_bytes: count(leg("full_replay")?, "journal_bytes")?,
-        snap_bytes: count(snap, "journal_bytes")?,
-        snap_secs: match Value::get_field(snap, "recover_secs")? {
-            Value::F64(x) => *x,
-            Value::U64(n) => *n as f64,
-            _ => return None,
-        },
-    })
-}
-
-/// Compare a run with the committed baseline; one message per failed
-/// gate.
-fn baseline_failures(base: &Baseline, r: &BenchResult) -> Vec<String> {
-    let mut out = Vec::new();
-    let exact = [
-        ("records", base.records, r.records),
-        (
-            "full_replay.journal_bytes",
-            base.replay_bytes,
-            r.full_replay.journal_bytes,
-        ),
-        (
-            "snapshot_tail.journal_bytes",
-            base.snap_bytes,
-            r.snapshot_tail.journal_bytes,
-        ),
-    ];
-    for (name, old, new) in exact {
-        if old != new {
-            out.push(format!("{name} is {new}, the baseline has {old}"));
-        }
-    }
-    let ceiling = base.snap_secs * (1.0 + MAX_REGRESSION);
-    if r.snapshot_tail.recover_secs > ceiling {
-        out.push(format!(
-            "resume {:.6}s > {ceiling:.6}s (baseline {:.6}s + {:.0}%)",
-            r.snapshot_tail.recover_secs,
-            base.snap_secs,
-            MAX_REGRESSION * 100.0
-        ));
-    }
-    out
-}
-
-/// >20% slower resume than the committed baseline fails the gate.
-const MAX_REGRESSION: f64 = 0.20;
-
-/// The committed baseline.
-const BASELINE_PATH: &str = "BENCH_recovery.json";
-/// Where every run writes its result.
-const RESULT_PATH: &str = "target/bench/BENCH_recovery.json";
 
 fn main() {
-    let bless = match std::env::args().nth(1).as_deref() {
-        None => false,
-        Some("--bless") => true,
-        Some(arg) => {
-            eprintln!("bench_recovery: unknown argument {arg} (only --bless)");
-            std::process::exit(2);
-        }
-    };
-    let baseline = read_baseline(BASELINE_PATH);
     let replay_path = journal_path("full-replay");
     let snap_path = journal_path("snapshot-tail");
 
@@ -291,6 +200,8 @@ fn main() {
     let replay_bytes = journal_bytes(&replay_path).expect("journal size");
     let snap_bytes = journal_bytes(&snap_path).expect("journal size");
     let operating_bytes_per_record = snap_bytes as f64 / records.max(1) as f64;
+    cleanup(&replay_path);
+    cleanup(&snap_path);
 
     let result = BenchResult {
         seed: SEED,
@@ -298,73 +209,45 @@ fn main() {
         events: full.events_delivered,
         tasks_completed: full.tasks_completed,
         merges_completed: full.merges_completed,
-        run_wall_secs,
         records,
         operating_bytes_per_record,
-        full_replay: RecoveryLeg {
+        full_replay: ReplayLeg {
             journal_bytes: replay_bytes,
-            recover_secs: replay_secs,
         },
-        snapshot_tail: RecoveryLeg {
+        snapshot_tail: SnapshotLeg {
             journal_bytes: snap_bytes,
             recover_secs: snap_secs,
         },
-        speedup: replay_secs / snap_secs.max(1e-9),
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
     println!("== bench_recovery (seed {SEED}) ==");
     println!("{json}");
+    println!(
+        "run {run_wall_secs:.3}s; full replay {replay_secs:.6}s, snapshot+tail \
+         {snap_secs:.6}s ({:.2}x faster)",
+        replay_secs / snap_secs.max(1e-9)
+    );
 
-    let mut failed = false;
-    // The baseline gates run before anything is written, so a failing
-    // run can never become the baseline a rerun compares against.
-    match (&baseline, bless) {
-        (_, true) => println!("bench_recovery: --bless: baseline comparison skipped"),
-        (None, false) => {
-            eprintln!(
-                "bench_recovery: no readable baseline at {BASELINE_PATH}; \
-                 run with --bless to create one"
-            );
-            failed = true;
-        }
-        (Some(base), false) => {
-            for msg in baseline_failures(base, &result) {
-                eprintln!("bench_recovery: REGRESSION: {msg}");
-                failed = true;
-            }
-        }
-    }
+    let mut ok = gate::check("BENCH_recovery", &json, &[Timed::Secs("recover_secs")]);
     if replay_secs <= snap_secs {
-        eprintln!(
-            "bench_recovery: snapshot+tail ({snap_secs:.6}s) did not beat \
-             full replay ({replay_secs:.6}s)"
-        );
-        failed = true;
+        eprintln!("bench_recovery: FAIL snapshot+tail did not beat full replay");
+        ok = false;
     }
     if snap_secs >= RESUME_BUDGET_SECS {
         eprintln!(
-            "bench_recovery: snapshot+tail resume {snap_secs:.6}s over the \
+            "bench_recovery: FAIL snapshot+tail resume {snap_secs:.6}s over the \
              {RESUME_BUDGET_SECS:.3}s budget"
         );
-        failed = true;
+        ok = false;
     }
     if operating_bytes_per_record > MAX_OPERATING_BYTES_PER_RECORD {
         eprintln!(
-            "bench_recovery: operating journal {operating_bytes_per_record:.2} \
+            "bench_recovery: FAIL operating journal {operating_bytes_per_record:.2} \
              bytes/record over the {MAX_OPERATING_BYTES_PER_RECORD:.2} ceiling"
         );
-        failed = true;
+        ok = false;
     }
-    std::fs::create_dir_all("target/bench").expect("writable target dir");
-    std::fs::write(RESULT_PATH, &json).expect("writable target dir");
-    println!("bench_recovery: wrote {RESULT_PATH}");
-    if failed {
+    if !ok {
         std::process::exit(1);
     }
-    if bless {
-        std::fs::write(BASELINE_PATH, &json).expect("writable cwd");
-        println!("bench_recovery: blessed {BASELINE_PATH}");
-    }
-    cleanup(&replay_path);
-    cleanup(&snap_path);
 }

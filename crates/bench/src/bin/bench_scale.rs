@@ -7,11 +7,11 @@
 //! squid/Chirp fault windows, so eviction storms and retry machinery are
 //! part of the measured event stream.
 //!
-//! For every sweep point it records events/sec, wall time, and a peak-RSS
-//! proxy from a counting global allocator. Results go to
-//! `BENCH_scale.json`; if a committed baseline is present, any sweep
-//! point whose events/sec regresses by more than 20% fails the run
-//! (exit 1) after the new numbers are written.
+//! For every sweep point it records the exact work counters, events/sec
+//! over the best of [`gate::REPEATS`] runs, and a peak-RSS proxy from a
+//! counting global allocator. [`gate::check`] compares the result with
+//! the committed `BENCH_scale.json`: every counter exactly, events/sec
+//! within [`gate::MAX_SLOWDOWN`]. Wall times are printed, not committed.
 
 // The counting allocator below must implement `GlobalAlloc`, which is an
 // unsafe trait; the workspace otherwise denies unsafe code.
@@ -24,6 +24,7 @@ use lobster::driver::{ClusterSim, Session, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
+use lobster_bench::gate::{self, Timed};
 use serde::Serialize;
 use simkit::time::{SimDuration, SimTime};
 use simnet::outage::{Outage, OutageSchedule};
@@ -33,9 +34,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const SEED: u64 = 2025;
 const TASKLETS_PER_CORE: u64 = 50;
 const SWEEP_CORES: [u32; 4] = [2_500, 5_000, 10_000, 20_000];
-/// Fail the gate when a sweep point loses more than this fraction of its
-/// baseline events/sec.
-const MAX_REGRESSION: f64 = 0.20;
 
 /// Allocation-counting wrapper around the system allocator: `current`
 /// tracks live bytes, `peak` the high-water mark. The peak is the
@@ -67,8 +65,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Reset the high-water mark to the current live size (call between
-/// sweep points so each point reports its own peak).
+/// Reset the high-water mark to the current live size (call before each
+/// run so every run reports its own peak).
 fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
 }
@@ -83,7 +81,6 @@ struct SweepPoint {
     evictions: u64,
     dead_letters: u64,
     events: u64,
-    wall_secs: f64,
     events_per_sec: f64,
     peak_alloc_bytes: u64,
 }
@@ -156,85 +153,44 @@ fn setup(cores: u32) -> (LobsterConfig, SimParams, Vec<Workflow>) {
     (cfg, params, vec![wf])
 }
 
-/// Baseline events/sec per cores value from a committed BENCH_scale.json,
-/// if one exists and parses.
-fn read_baseline(path: &str) -> Vec<(u32, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(v) = serde_json::from_str::<serde_json::Value>(&text) else {
-        eprintln!("bench_scale: ignoring unparseable baseline {path}");
-        return Vec::new();
-    };
-    use serde_json::Value;
-    let num = |v: &Value| -> Option<f64> {
-        match *v {
-            Value::U64(n) => Some(n as f64),
-            Value::I64(n) => Some(n as f64),
-            Value::F64(x) => Some(x),
-            _ => None,
-        }
-    };
-    let mut out = Vec::new();
-    let points = v
-        .as_object()
-        .and_then(|fields| Value::get_field(fields, "points"))
-        .and_then(|p| match p {
-            Value::Array(items) => Some(items.as_slice()),
-            _ => None,
-        })
-        .unwrap_or(&[]);
-    for p in points {
-        let Some(fields) = p.as_object() else {
-            continue;
-        };
-        if let (Some(cores), Some(eps)) = (
-            Value::get_field(fields, "cores").and_then(&num),
-            Value::get_field(fields, "events_per_sec").and_then(&num),
-        ) {
-            out.push((cores as u32, eps));
-        }
+/// Run one sweep point and summarise it (the report is dropped here, so
+/// the best-of-N loop holds no heap between runs).
+fn run_point(
+    cores: u32,
+    (cfg, params, wfs): (LobsterConfig, SimParams, Vec<Workflow>),
+) -> SweepPoint {
+    let workers = cfg.workers.target_cores / cfg.workers.cores_per_worker;
+    let tasklets: u64 = wfs.iter().map(|w| w.n_tasklets()).sum();
+    reset_peak();
+    let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
+    if report.finished_at.is_none() {
+        eprintln!("bench_scale: {cores}-core sweep point did not finish: {report:?}");
+        std::process::exit(1);
     }
-    out
+    SweepPoint {
+        cores,
+        workers,
+        tasklets,
+        tasks_completed: report.tasks_completed,
+        tasks_failed: report.tasks_failed,
+        evictions: report.evictions,
+        dead_letters: report.dead_letters.len() as u64,
+        events: report.events_delivered,
+        events_per_sec: 0.0,
+        peak_alloc_bytes: PEAK.load(Ordering::Relaxed),
+    }
 }
 
 fn main() {
-    let out_path = "BENCH_scale.json";
-    let baseline = read_baseline(out_path);
-
     let mut points = Vec::new();
     for &cores in &SWEEP_CORES {
-        let (cfg, params, wfs) = setup(cores);
-        let workers = cfg.workers.target_cores / cfg.workers.cores_per_worker;
-        let tasklets: u64 = wfs.iter().map(|w| w.n_tasklets()).sum();
-        reset_peak();
-        let started = std::time::Instant::now();
-        let report = Session::new(ClusterSim::new(cfg, params, wfs)).finish();
-        let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-        let peak_alloc_bytes = PEAK.load(Ordering::Relaxed);
-
-        if report.finished_at.is_none() {
-            eprintln!("bench_scale: {cores}-core sweep point did not finish: {report:?}");
-            std::process::exit(1);
-        }
-        let point = SweepPoint {
-            cores,
-            workers,
-            tasklets,
-            tasks_completed: report.tasks_completed,
-            tasks_failed: report.tasks_failed,
-            evictions: report.evictions,
-            dead_letters: report.dead_letters.len() as u64,
-            events: report.events_delivered,
-            wall_secs,
-            events_per_sec: report.events_delivered as f64 / wall_secs,
-            peak_alloc_bytes,
-        };
+        let (wall_secs, mut point) = gate::best_of(|| setup(cores), |s| run_point(cores, s));
+        point.events_per_sec = point.events as f64 / wall_secs;
         eprintln!(
             "[{cores:>6} cores] {:>9} events in {wall_secs:>7.3}s  ({:>10.0} ev/s, peak alloc {:.1} MiB, {} evictions)",
             point.events,
             point.events_per_sec,
-            peak_alloc_bytes as f64 / (1024.0 * 1024.0),
+            point.peak_alloc_bytes as f64 / (1024.0 * 1024.0),
             point.evictions,
         );
         points.push(point);
@@ -246,31 +202,9 @@ fn main() {
         points,
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write(out_path, &json).expect("writable cwd");
     println!("== bench_scale (seed {SEED}, {TASKLETS_PER_CORE} tasklets/core) ==");
     println!("{json}");
-
-    // Regression gate: compare against the committed baseline (the file
-    // as it stood before this run overwrote it).
-    let mut failed = false;
-    for (cores, old_eps) in &baseline {
-        let Some(new) = result.points.iter().find(|p| p.cores == *cores) else {
-            continue;
-        };
-        let floor = old_eps * (1.0 - MAX_REGRESSION);
-        if new.events_per_sec < floor {
-            eprintln!(
-                "bench_scale: REGRESSION at {cores} cores: {:.0} ev/s < {:.0} ev/s \
-                 (baseline {:.0} − {:.0}%)",
-                new.events_per_sec,
-                floor,
-                old_eps,
-                MAX_REGRESSION * 100.0
-            );
-            failed = true;
-        }
-    }
-    if failed {
+    if !gate::check("BENCH_scale", &json, &[Timed::Rate("events_per_sec")]) {
         std::process::exit(1);
     }
 }

@@ -4,7 +4,10 @@
 //! paper. The two production scenarios of §6 — the ~10k-core data
 //! processing run (Figures 8, 9, 10) and the ~20k-core simulation run
 //! (Figure 11) — are defined here once so every figure of the same run is
-//! produced from identical inputs.
+//! produced from identical inputs. The `bench_*` binaries gate their
+//! results against the committed baselines through [`gate`].
+
+pub mod gate;
 
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;

@@ -261,34 +261,6 @@ impl MetricsSnapshot {
         }
         Ok(())
     }
-
-    /// The schema signature: every structural name in the snapshot —
-    /// metric names, accounting phases, segment and signal labels — in
-    /// canonical order. Two snapshots with equal signatures have the
-    /// same *shape*; differing values are behavior drift, a differing
-    /// signature is schema drift.
-    pub fn schema_signature(&self) -> Vec<String> {
-        let mut sig = vec![format!("schema/{}", self.schema)];
-        sig.extend(self.counters.iter().map(|c| format!("counter/{}", c.name)));
-        sig.extend(self.gauges.iter().map(|g| format!("gauge/{}", g.name)));
-        sig.extend(self.series.iter().map(|s| format!("series/{}", s.name)));
-        sig.extend(
-            self.accounting
-                .iter()
-                .map(|a| format!("accounting/{}", a.phase)),
-        );
-        sig.extend(
-            self.segments
-                .iter()
-                .map(|s| format!("segment/{}", s.segment)),
-        );
-        sig.extend(
-            self.advisor_signals
-                .iter()
-                .map(|s| format!("signal/{}", s.signal)),
-        );
-        sig
-    }
 }
 
 fn check_sorted<'a>(what: &str, names: impl Iterator<Item = &'a str>) -> Result<(), String> {
@@ -367,20 +339,5 @@ mod tests {
         let mut s = sample();
         s.gauges[0].value = f64::NAN;
         assert!(s.validate().is_err());
-    }
-
-    #[test]
-    fn signature_tracks_shape_not_values() {
-        let a = sample();
-        let mut b = sample();
-        b.counters[0].value = 1;
-        b.gauges[0].value = 2.0;
-        assert_eq!(a.schema_signature(), b.schema_signature());
-        let mut c = sample();
-        c.counters.push(CounterSample {
-            name: "zz_new_metric".into(),
-            value: 0,
-        });
-        assert_ne!(a.schema_signature(), c.schema_signature());
     }
 }
